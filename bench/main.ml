@@ -22,8 +22,6 @@ let params quick = if quick then Harness.Params.quick else Harness.Params.full
    "never shared" is no longer a structural guarantee worth a pragma. *)
 let micro_results : Micro.result list Atomic.t = Atomic.make []
 let trace_cmp : (float * float) option Atomic.t = Atomic.make None
-let lint_stats : (int * float * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings *)
 type macro_row = {
   mr_tput : float;
   mr_p50 : float;
@@ -38,12 +36,9 @@ let macro_stats : macro_row option Atomic.t = Atomic.make None
 let macro_nobatch_stats : macro_row option Atomic.t = Atomic.make None
 let check_stats : (int * int * float * int) option Atomic.t = Atomic.make None
 (* schedules, pruned, wall ms, findings *)
-let bounds_stats : (int * float * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, certificates *)
-let domains_stats : (int * float * int * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, cells, unsafe *)
-let spg_stats : (int * float * int * int * int) option Atomic.t = Atomic.make None
-(* files, wall ms, findings, wait sites, propagation edges *)
+let analysis_stats : (string * (int * float * int * (string * int) list)) list Atomic.t =
+  Atomic.make []
+(* per probe: files, wall ms, findings, probe-specific counts *)
 let nofeed_stats : (int * int) option Atomic.t = Atomic.make None
 (* schedules, pruned with the DPOR independence feed off *)
 let check_par_stats : (int * int * float) list Atomic.t = Atomic.make []
@@ -51,115 +46,49 @@ let check_par_stats : (int * int * float) list Atomic.t = Atomic.make []
 let shard_stats : (int * float * int * float * float) list Atomic.t = Atomic.make []
 (* (jobs, wall ms, total ops, virtual ops/s, p99 ms) per shard-pool domain count *)
 
-(* static-analysis probe: wall time of the per-file lint plus the
-   whole-project interprocedural pass over the library sources — the
-   lint must stay cheap enough to run on every build *)
-let run_lint_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "lint probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs =
-      List.concat_map Analysis.Source_lint.lint_file files
-      @ Analysis.Interproc.analyze_files files
-    in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Atomic.set lint_stats @@ Some (List.length files, ms, List.length fs);
-    Printf.printf "lint probe: %d file(s), %d finding(s) in %.1f ms\n%!" (List.length files)
-      (List.length fs) ms
+(* static-analysis probes: wall time of a group of passes from the pass
+   list over the library sources, project load included, as the group
+   would run alone — certificates feed the explorer's cross-checks, so
+   every pass must stay cheap enough to run on every build. [lint] is
+   the per-file lint plus the whole-project interprocedural pass. *)
+let analysis_probes =
+  let count p certs = List.length (List.filter p certs) in
+  let flagged c = c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged in
+  let kind k c = c.Analysis.Growth.c_kind = k in
+  [
+    ("lint", [ "source-lint"; "interproc" ], fun _ -> []);
+    ("bounds", [ "bounds" ], fun certs -> [ ("certificates", List.length certs) ]);
+    ( "domains",
+      [ "domains" ],
+      fun certs -> [ ("cells", List.length certs); ("unsafe", count flagged certs) ] );
+    ( "spg",
+      [ "spg" ],
+      fun certs ->
+        [ ("wait_sites", count (kind "wait") certs); ("edges", count (kind "propagation") certs) ] );
+  ]
 
-(* boundedness probe: wall time of the depfast-bounds pass (growth,
-   timeout coverage, retry coverage plus certificate emission) over the
-   library sources — certificates feed the gauge cross-check, so this
-   pass too must stay build-cheap *)
-let run_bounds_json () =
+let run_analysis_json (probe, passes, counts) =
   match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "bounds probe: sources not available, skipped\n%!"
+  | None -> Printf.printf "%s probe: sources not available, skipped\n%!" probe
   | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
+    let files = Analysis.Project.source_files [ root ] in
     let t0 = Unix.gettimeofday () in
-    let fs, certs = Analysis.Bounds.analyze_files files in
+    let shared = Analysis.Pass.share (Analysis.Project.load_files files) in
+    let outs =
+      List.filter_map
+        (fun p ->
+          if List.mem p.Analysis.Pass.name passes then Some (p.Analysis.Pass.run shared) else None)
+        Analysis.Pass.all
+    in
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Atomic.set bounds_stats @@ Some (List.length files, ms, List.length fs, List.length certs);
-    Printf.printf
-      "bounds probe: %d file(s), %d finding(s), %d certificate(s) in %.1f ms\n%!"
-      (List.length files) (List.length fs) (List.length certs) ms
-
-(* domain-safety probe: wall time of the depfast-domains pass (mutable
-   state inventory, effect fixpoint, ownership verdicts, footprints)
-   over the library sources — it runs on every strict lint and inside
-   every certificate build, so it too must stay build-cheap *)
-let run_domains_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "domains probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs, certs, _footprints = Analysis.Domains.analyze_files files in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let unsafe =
-      List.length
-        (List.filter (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged) certs)
-    in
-    Atomic.set domains_stats @@ Some (List.length files, ms, List.length fs, List.length certs, unsafe);
-    Printf.printf
-      "domains probe: %d file(s), %d finding(s), %d cell(s), %d unsafe in %.1f ms\n%!"
-      (List.length files) (List.length fs) (List.length certs) unsafe ms
-
-(* slowness-propagation probe: wall time of the depfast-spg pass (taint
-   seeding, callee->caller fixpoint, wait classification, certificate
-   emission) over the library sources — its exposure map feeds the
-   explorer's SPG cross-check, so it must stay build-cheap too *)
-let run_spg_json () =
-  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
-  | None -> Printf.printf "spg probe: sources not available, skipped\n%!"
-  | Some root ->
-    let rec walk p acc =
-      if Sys.is_directory p then
-        Sys.readdir p |> Array.to_list |> List.sort compare
-        |> List.fold_left (fun acc e -> walk (Filename.concat p e) acc) acc
-      else if Filename.check_suffix p ".ml" && not (Filename.check_suffix p ".pp.ml") then
-        p :: acc
-      else acc
-    in
-    let files = List.rev (walk root []) in
-    let t0 = Unix.gettimeofday () in
-    let fs, certs, _exposures = Analysis.Spg_static.analyze_files files in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let count k =
-      List.length (List.filter (fun c -> c.Analysis.Growth.c_kind = k) certs)
-    in
-    let waits = count "wait" and edges = count "propagation" in
-    Atomic.set spg_stats @@ Some (List.length files, ms, List.length fs, waits, edges);
-    Printf.printf
-      "spg probe: %d file(s), %d finding(s), %d wait site(s), %d propagation edge(s) in \
-       %.1f ms\n%!"
-      (List.length files) (List.length fs) waits edges ms
+    let findings = List.length (List.concat_map (fun o -> o.Analysis.Pass.findings) outs) in
+    let counts = counts (List.concat_map (fun o -> o.Analysis.Pass.certs) outs) in
+    Atomic.set analysis_stats
+      ((probe, (List.length files, ms, findings, counts)) :: Atomic.get analysis_stats);
+    Printf.printf "%s probe: %d file(s), %d finding(s)%s in %.1f ms\n%!" probe (List.length files)
+      findings
+      (String.concat "" (List.map (fun (k, v) -> Printf.sprintf ", %d %s" v k) counts))
+      ms
 
 (* trace overhead probe: the same DepFastRaft quick cell with the wait-trace
    ring disabled and enabled; tracing must cost well under 10% throughput *)
@@ -365,20 +294,19 @@ let run_experiment ~json quick = function
     Gc.set gc;
     if json then Atomic.set micro_results @@ rs;
     Micro.print rs
-  | "lint" -> run_lint_json ()
-  | "bounds" -> run_bounds_json ()
-  | "domains" -> run_domains_json ()
-  | "spg" -> run_spg_json ()
   | "macro" -> run_macro_json quick
   | "check" -> run_check_json ()
   | "check_par" -> run_check_par_json ()
   | "shard" -> run_shard_json quick
-  | other ->
-    Printf.eprintf
-      "unknown experiment %S (expected \
-       table1|fig1|fig2|fig3|ablation|mitigation|micro|lint|bounds|domains|spg|macro|check|check_par|shard)\n"
-      other;
-    exit 2
+  | other -> (
+    match List.find_opt (fun (p, _, _) -> p = other) analysis_probes with
+    | Some probe -> run_analysis_json probe
+    | None ->
+      Printf.eprintf
+        "unknown experiment %S (expected \
+         table1|fig1|fig2|fig3|ablation|mitigation|micro|lint|bounds|domains|spg|macro|check|check_par|shard)\n"
+        other;
+      exit 2)
 
 let all =
   [
@@ -422,37 +350,17 @@ let write_json path =
   (match (Atomic.get macro_nobatch_stats) with
   | Some r -> Buffer.add_string buf (",\n  \"fig1_macro_nobatch\": " ^ macro_fields r)
   | None -> ());
-  (match (Atomic.get lint_stats) with
-  | Some (files, ms, findings) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"lint\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d}" files ms
-         findings)
-  | None -> ());
-  (match (Atomic.get bounds_stats) with
-  | Some (files, ms, findings, certs) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"bounds\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"certificates\": %d}"
-         files ms findings certs)
-  | None -> ());
-  (match (Atomic.get domains_stats) with
-  | Some (files, ms, findings, cells, unsafe) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"domains\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"cells\": %d, \"unsafe\": %d}"
-         files ms findings cells unsafe)
-  | None -> ());
-  (match (Atomic.get spg_stats) with
-  | Some (files, ms, findings, waits, edges) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"spg\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d, \
-          \"wait_sites\": %d, \"edges\": %d}"
-         files ms findings waits edges)
-  | None -> ());
+  List.iter
+    (fun (probe, _, _) ->
+      match List.assoc_opt probe (Atomic.get analysis_stats) with
+      | Some (files, ms, findings, counts) ->
+        Buffer.add_string buf
+          (Printf.sprintf ",\n  \"%s\": {\"files\": %d, \"wall_ms\": %.2f, \"findings\": %d%s}"
+             probe files ms findings
+             (String.concat ""
+                (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %d" k v) counts)))
+      | None -> ())
+    analysis_probes;
   (match (Atomic.get check_stats) with
   | Some (schedules, pruned, ms, findings) ->
     Buffer.add_string buf

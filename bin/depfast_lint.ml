@@ -23,25 +23,10 @@ let usage =
   "usage: depfast_lint [--quiet] [--strict] [--interproc] [--bounds] [--domains] \
    [--spg] [--format text|json] [--rules] [path ...]"
 
-let rec walk path acc =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if entry = "_build" || entry = ".git" then acc
-           else walk (Filename.concat path entry) acc)
-         acc
-  else if Filename.check_suffix path ".ml" && not (Filename.check_suffix path ".pp.ml") then
-    path :: acc
-  else acc
-
 let () =
   let quiet = ref false in
   let strict = ref false in
-  let interproc = ref false in
-  let bounds = ref false in
-  let domains = ref false in
-  let spg = ref false in
+  let enabled = ref [ "source-lint" ] in
   let format = ref `Text in
   let paths = ref [] in
   let show_rules = ref false in
@@ -62,10 +47,8 @@ let () =
           match arg with
           | "--quiet" | "-q" -> quiet := true
           | "--strict" -> strict := true
-          | "--interproc" -> interproc := true
-          | "--bounds" -> bounds := true
-          | "--domains" -> domains := true
-          | "--spg" -> spg := true
+          | ("--interproc" | "--bounds" | "--domains" | "--spg") as flag ->
+            enabled := String.sub flag 2 (String.length flag - 2) :: !enabled
           | "--format" -> expect_format := true
           | "--rules" -> show_rules := true
           | "--help" | "-h" ->
@@ -92,39 +75,23 @@ let () =
     Printf.eprintf "depfast_lint: no such path: %s\n" (String.concat ", " missing);
     exit 2
   end;
-  let files = List.rev (List.fold_left (fun acc p -> walk p acc) [] roots) in
+  let files = Analysis.Project.source_files roots in
+  let shared = Analysis.Pass.share (Analysis.Project.load_files files) in
+  let on name = List.mem name !enabled in
+  let runs =
+    List.filter_map
+      (fun p ->
+        if on p.Analysis.Pass.name then Some (p, p.Analysis.Pass.run shared) else None)
+      Analysis.Pass.all
+  in
   (* each finding is tagged with its originating pass; identical findings
      reported by more than one pass are deduplicated, first pass wins *)
   let tagged =
-    List.map (fun f -> ("source-lint", f)) (List.concat_map Analysis.Source_lint.lint_file files)
+    List.concat_map
+      (fun (p, o) -> List.map (fun f -> (p.Analysis.Pass.name, f)) o.Analysis.Pass.findings)
+      runs
   in
-  let tagged =
-    if !interproc then
-      tagged @ List.map (fun f -> ("interproc", f)) (Analysis.Interproc.analyze_files files)
-    else tagged
-  in
-  let tagged, bcerts =
-    if !bounds then begin
-      let fs, certs = Analysis.Bounds.analyze_files files in
-      (tagged @ List.map (fun f -> ("bounds", f)) fs, certs)
-    end
-    else (tagged, [])
-  in
-  let tagged, dcerts =
-    if !domains then begin
-      let fs, certs, _footprints = Analysis.Domains.analyze_files files in
-      (tagged @ List.map (fun f -> ("domains", f)) fs, certs)
-    end
-    else (tagged, [])
-  in
-  let tagged, scerts =
-    if !spg then begin
-      let fs, certs, _exposures = Analysis.Spg_static.analyze_files files in
-      (tagged @ List.map (fun f -> ("spg", f)) fs, certs)
-    end
-    else (tagged, [])
-  in
-  let certs = bcerts @ dcerts @ scerts in
+  let certs = List.concat_map (fun (_, o) -> o.Analysis.Pass.certs) runs in
   let tagged =
     List.stable_sort (fun (_, a) (_, b) -> Analysis.Finding.by_location a b) tagged
   in
@@ -140,12 +107,6 @@ let () =
   let findings = List.map snd tagged in
   let gating = Analysis.Finding.gating ~strict:!strict findings in
   let unallowed = Analysis.Finding.unallowed findings in
-  let bounded, flagged =
-    List.partition (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Bounded) bcerts
-  in
-  let unsafe_cells =
-    List.filter (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged) dcerts
-  in
   (match !format with
   | `Text ->
     List.iter
@@ -153,30 +114,11 @@ let () =
         if not (!quiet && f.Analysis.Finding.allowed) then
           print_endline (Analysis.Finding.to_string f))
       findings;
-    Printf.printf "depfast-lint: %d file(s), %d finding(s), %d unallowed, %d gating%s%s%s%s\n"
+    Printf.printf "depfast-lint: %d file(s), %d finding(s), %d unallowed, %d gating%s\n"
       (List.length files) (List.length findings) (List.length unallowed)
       (List.length gating)
-      (if !interproc then " [interproc]" else "")
-      (if !bounds then
-         Printf.sprintf " [bounds: %d site(s) certified, %d flagged]" (List.length bounded)
-           (List.length flagged)
-       else "")
-      (if !domains then
-         Printf.sprintf " [domains: %d cell(s), %d unsafe]" (List.length dcerts)
-           (List.length unsafe_cells)
-       else "")
-      (if !spg then
-         let waits, props =
-           List.partition (fun c -> c.Analysis.Growth.c_kind = "wait") scerts
-         in
-         let red =
-           List.filter
-             (fun c -> c.Analysis.Growth.c_verdict = Analysis.Growth.Flagged)
-             waits
-         in
-         Printf.sprintf " [spg: %d wait site(s), %d propagation edge(s), %d red-uncovered]"
-           (List.length waits) (List.length props) (List.length red)
-       else "")
+      (String.concat ""
+         (List.map (fun (p, o) -> p.Analysis.Pass.summary o.Analysis.Pass.certs) runs))
   | `Json ->
     (* one JSON document: summary + findings array, one finding per line *)
     Printf.printf
@@ -184,7 +126,7 @@ let () =
        \"interproc\": %b, \"bounds\": %b, \"domains\": %b, \"spg\": %b, \"strict\": %b, \
        \"results\": [\n"
       (List.length files) (List.length findings) (List.length unallowed)
-      (List.length gating) !interproc !bounds !domains !spg !strict;
+      (List.length gating) (on "interproc") (on "bounds") (on "domains") (on "spg") !strict;
     let shown =
       if !quiet then
         List.filter (fun ((_, f) : _ * Analysis.Finding.t) -> not f.Analysis.Finding.allowed) tagged
@@ -200,7 +142,7 @@ let () =
           pass body
           (if i < List.length shown - 1 then "," else ""))
       shown;
-    if !bounds || !domains || !spg then begin
+    if List.exists (fun (p, _) -> p.Analysis.Pass.certifies) runs then begin
       Printf.printf "], \"certificates\": [\n";
       List.iteri
         (fun i c ->

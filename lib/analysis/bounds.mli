@@ -37,8 +37,20 @@ type cert = Growth.cert = {
   c_evidence : string;
 }
 
+val timer_child : Lexer.token array -> int array -> int -> int -> string option
+(** [timer_child toks pm n i]: after an [Event.add] head ending at token
+    [i] (scanning stops at [n]), [Some q] when it reads
+    [Event.add q ~child:<Sched.timer ...>] — the escape that makes a
+    wait on quorum [q] deadline-covered. Shared with {!Spg_static}, so
+    the two passes agree on coverage. *)
+
+val analyze :
+  Project.t -> growth:Finding.t list * cert list -> Finding.t list * cert list
+(** The pass over a loaded project, given {!Growth.analyze}'s result for
+    it. Findings are pragma-applied and sorted by location; certificates
+    (the growth ones included) by site. *)
+
 val analyze_sources : (string * string) list -> Finding.t list * cert list
-(** [(path, contents)] pairs — the whole project at once. Findings are
-    pragma-applied and sorted by location; certificates by site. *)
+(** [(path, contents)] pairs — the whole project at once. *)
 
 val analyze_files : string list -> Finding.t list * cert list

@@ -13,8 +13,8 @@ let define t (s : Summary.t) =
 let find t qname = Hashtbl.find_opt t.defs qname
 
 let resolve t ~current_module name =
-  if Source_lint.is_simple name then find t (current_module ^ "." ^ name)
-  else find t (Source_lint.last2 name)
+  if Tokens.is_simple name then find t (current_module ^ "." ^ name)
+  else find t (Tokens.last2 name)
 
 let add_edge t ~caller ~callee =
   if not (List.mem (caller, callee) t.edges) then t.edges <- (caller, callee) :: t.edges

@@ -19,8 +19,7 @@ let class_engine = "engine-owned"
 let class_guarded = "guarded"
 let class_unsafe = "unsafe-shared"
 
-let analyze p =
-  let eff = Effects.compute p in
+let analyze p eff =
   (* writes per cell, in (file, line) order so witnesses are stable *)
   let writes = Hashtbl.create 64 in
   List.iter
@@ -113,11 +112,11 @@ let analyze p =
   let keep c = String.length c > 0 && c.[0] <> '.' && not (Hashtbl.mem excluded c) in
   let footprints =
     List.map
-      (fun (fc : Growth.file_ctx) ->
+      (fun (fc : Project.file) ->
         let reads = ref [] and wrs = ref [] in
         List.iter
-          (fun (f : Growth.fn) ->
-            match Effects.fn_summary eff f.Growth.g_qname with
+          (fun (f : Project.fn) ->
+            match Effects.fn_summary eff f.Project.g_qname with
             | None -> ()
             | Some s ->
               List.iter
@@ -126,44 +125,15 @@ let analyze p =
               List.iter
                 (fun c -> if keep c && not (List.mem c !wrs) then wrs := c :: !wrs)
                 s.Summary.writes)
-          fc.Growth.fc_fns;
-        (fc.Growth.fc_path, (List.sort compare !reads, List.sort compare !wrs)))
-      (Growth.files p)
+          (Project.fns fc);
+        (fc.Project.fc_path, (List.sort compare !reads, List.sort compare !wrs)))
+      (Project.files p)
   in
-  ( List.sort_uniq Finding.by_location !findings,
+  ( Project.apply_pragmas (Project.files p) (List.sort_uniq Finding.by_location !findings),
     List.sort_uniq Growth.by_site !certs,
     footprints )
 
-(* ---- driver ---------------------------------------------------------- *)
-
-let allowed_at pragmas rule line =
-  List.exists
-    (fun (p : Lexer.pragma) ->
-      p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-    pragmas
-
-let analyze_sources sources =
-  let p = Growth.load sources in
-  let findings, certs, footprints = analyze p in
-  let pragmas_of = Hashtbl.create 16 in
-  List.iter
-    (fun (fc : Growth.file_ctx) ->
-      Hashtbl.replace pragmas_of fc.Growth.fc_path fc.Growth.fc_pragmas)
-    (Growth.files p);
-  let apply (f : Finding.t) =
-    match f.Finding.loc with
-    | Finding.File { file; line } ->
-      let ps = try Hashtbl.find pragmas_of file with Not_found -> [] in
-      if allowed_at ps f.Finding.rule line then { f with Finding.allowed = true } else f
-    | _ -> f
-  in
-  (List.map apply findings, certs, footprints)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+(* standalone: the pass with its own effect analysis *)
+let run p = analyze p (Effects.compute p)
+let analyze_sources sources = run (Project.load sources)
+let analyze_files paths = run (Project.load_files paths)

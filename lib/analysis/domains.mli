@@ -49,13 +49,14 @@ val class_engine : string
 val class_guarded : string
 val class_unsafe : string
 
-val analyze : Growth.project -> Finding.t list * cert list * footprint list
-(** Findings are pragma-unapplied; certificates sorted by site, one per
-    inventory cell; footprints in project file order. *)
+val analyze : Project.t -> Effects.t -> Finding.t list * cert list * footprint list
+(** The pass over a loaded project, given {!Effects.compute}'s result
+    for it. Findings are pragma-applied and sorted by location;
+    certificates sorted by site, one per inventory cell; footprints in
+    project file order. *)
 
 val analyze_sources :
   (string * string) list -> Finding.t list * cert list * footprint list
-(** [(path, contents)] pairs — the whole project at once; findings are
-    pragma-applied and sorted by location. *)
+(** [(path, contents)] pairs — the whole project at once. *)
 
 val analyze_files : string list -> Finding.t list * cert list * footprint list

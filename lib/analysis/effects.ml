@@ -1,4 +1,4 @@
-module SL = Source_lint
+module T = Tokens
 
 (* The mutable-state inventory and interprocedural effect analysis
    behind the depfast-domains pass: which top-level mutable cells exist,
@@ -60,8 +60,8 @@ let rhs_heads =
 let field_inventory files =
   let fields = Hashtbl.create 64 in
   List.iter
-    (fun (fc : Growth.file_ctx) ->
-      let a = fc.Growth.fc_toks in
+    (fun (fc : Project.file) ->
+      let a = fc.Project.fc_toks in
       Array.iteri
         (fun i (tok : Lexer.token) ->
           if
@@ -70,7 +70,7 @@ let field_inventory files =
             && Lexer.is_ident a.(i + 1).Lexer.text
           then begin
             let cellname = "." ^ a.(i + 1).Lexer.text in
-            let site = (fc.Growth.fc_path, a.(i + 1).Lexer.line) in
+            let site = (fc.Project.fc_path, a.(i + 1).Lexer.line) in
             match Hashtbl.find_opt fields cellname with
             | Some s when s <= site -> ()
             | _ -> Hashtbl.replace fields cellname site
@@ -87,11 +87,11 @@ let field_inventory files =
 let global_inventory files fields =
   let cells = Hashtbl.create 64 in
   List.iter
-    (fun (fc : Growth.file_ctx) ->
-      let a = fc.Growth.fc_toks in
+    (fun (fc : Project.file) ->
+      let a = fc.Project.fc_toks in
       List.iter
-        (fun (f : Growth.fn) ->
-          let b = f.Growth.g_b and e = f.Growth.g_e in
+        (fun (f : Project.fn) ->
+          let b = f.Project.g_b and e = f.Project.g_e in
           let j =
             if b + 1 < e && a.(b + 1).Lexer.text = "rec" then b + 2 else b + 1
           in
@@ -146,26 +146,26 @@ let global_inventory files fields =
                     if !m then Some Record else None
                   end
                   else if Lexer.is_ident t then begin
-                    let h, _, _ = SL.qualified a r in
-                    List.assoc_opt (SL.last2 h) rhs_heads
+                    let h, _, _ = T.qualified a r in
+                    List.assoc_opt (T.last2 h) rhs_heads
                   end
                   else None
                 in
                 match kind with
                 | Some k ->
-                  let cname = fc.Growth.fc_mdl ^ "." ^ a.(j).Lexer.text in
+                  let cname = fc.Project.fc_mdl ^ "." ^ a.(j).Lexer.text in
                   if not (Hashtbl.mem cells cname) then
                     Hashtbl.replace cells cname
                       {
                         cl_name = cname;
                         cl_kind = k;
-                        cl_file = fc.Growth.fc_path;
-                        cl_line = f.Growth.g_line;
+                        cl_file = fc.Project.fc_path;
+                        cl_line = f.Project.g_line;
                       }
                 | None -> ()
               end
           end)
-        fc.Growth.fc_fns)
+        (Project.fns fc))
     files;
   Hashtbl.iter
     (fun cname (file, line) ->
@@ -182,19 +182,16 @@ type target =
   | TField of string * string option  (* field cell, top-level base if any *)
   | TNone
 
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
-
-let target cells (fc : Growth.file_ctx) name =
-  if SL.is_simple name then begin
-    let q = fc.Growth.fc_mdl ^ "." ^ name in
+let target cells (fc : Project.file) name =
+  if T.is_simple name then begin
+    let q = fc.Project.fc_mdl ^ "." ^ name in
     if Hashtbl.mem cells q then TGlobal q else TNone
   end
   else
-    let segs = segments name in
+    let segs = T.segments name in
     let first = List.hd segs in
     if first <> "" && first.[0] >= 'A' && first.[0] <= 'Z' then begin
-      let l2 = SL.last2 name in
+      let l2 = T.last2 name in
       if Hashtbl.mem cells l2 then TGlobal l2
       else
         (* [Mod.glob.field]: the first two segments may name a cell *)
@@ -210,8 +207,8 @@ let target cells (fc : Growth.file_ctx) name =
         | _ -> TNone
     end
     else begin
-      let fieldc = "." ^ last_segment name in
-      let baseq = fc.Growth.fc_mdl ^ "." ^ first in
+      let fieldc = "." ^ T.last_segment name in
+      let baseq = fc.Project.fc_mdl ^ "." ^ first in
       let base = if Hashtbl.mem cells baseq then Some baseq else None in
       if Hashtbl.mem cells fieldc then TField (fieldc, base)
       else match base with Some b -> TGlobal b | None -> TNone
@@ -271,35 +268,21 @@ let read_ops =
     ("Atomic.get", [ 0 ]);
   ]
 
-(* [nth_arg] with the argument's start token, so the mention scan can
-   skip arguments the operation tables already consumed. *)
-let rec nth_arg_pos (a : Lexer.token array) i k =
-  let n = Array.length a in
-  if i >= n then None
-  else if a.(i).Lexer.text = "~" && i + 2 < n && a.(i + 2).Lexer.text = ":" then
-    nth_arg_pos a (Growth.skip_group a (i + 3)) k
-  else if k = 0 then
-    if Lexer.is_ident a.(i).Lexer.text then
-      let name, _, _ = SL.qualified a i in
-      Some (name, i)
-    else None
-  else nth_arg_pos a (Growth.skip_group a i) (k - 1)
-
-let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
-  let a = fc.Growth.fc_toks in
-  let pm = fc.Growth.fc_pm in
-  let hi = f.Growth.g_e in
+let scan_fn cells (fc : Project.file) (f : Project.fn) ~add =
+  let a = fc.Project.fc_toks in
+  let pm = fc.Project.fc_pm in
+  let hi = f.Project.g_e in
   (* lock regions: [Mutex.with_lock sched m (fun ...)] bodies, and
      [Mutex.lock]..[Mutex.unlock] spans within the item *)
   let spans = ref [] in
-  let i = ref f.Growth.g_b in
+  let i = ref f.Project.g_b in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, _, ni = SL.qualified a !i in
-      (match SL.last2 name with
+      let name, _, ni = T.qualified a !i in
+      (match T.last2 name with
       | "Mutex.with_lock" ->
-        let _, i1 = SL.parse_atom a pm ni in
-        let _, i2 = SL.parse_atom a pm i1 in
+        let _, i1 = T.parse_atom a pm ni in
+        let _, i2 = T.parse_atom a pm i1 in
         if i2 < hi && a.(i2).Lexer.text = "(" && pm.(i2) >= 0 then
           spans := (i2, pm.(i2)) :: !spans
         else spans := (i2, hi) :: !spans
@@ -307,8 +290,8 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
         let j = ref ni and stop = ref hi in
         while !stop = hi && !j < hi do
           if Lexer.is_ident a.(!j).Lexer.text then begin
-            let nm, _, nj = SL.qualified a !j in
-            if SL.last2 nm = "Mutex.unlock" then stop := !j;
+            let nm, _, nj = T.qualified a !j in
+            if T.last2 nm = "Mutex.unlock" then stop := !j;
             j := nj
           end
           else incr j
@@ -323,28 +306,28 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
   (* pass 1: container/atomic operations; the container argument token
      is marked consumed so pass 2 does not read it a second time *)
   let consumed = Hashtbl.create 16 in
-  let i = ref f.Growth.g_b in
+  let i = ref f.Project.g_b in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
-      let l2 = SL.last2 name in
+      let name, line, ni = T.qualified a !i in
+      let l2 = T.last2 name in
       let hit write poss =
         List.iter
           (fun p ->
-            match nth_arg_pos a ni p with
+            match T.nth_arg_pos a ni p with
             | None -> ()
             | Some (arg, argstart) -> (
               Hashtbl.replace consumed argstart ();
               match target cells fc arg with
               | TGlobal c ->
-                add ~fn:f.Growth.g_qname ~cell:c ~line ~write ~locked:(locked !i)
+                add ~fn:f.Project.g_qname ~cell:c ~line ~write ~locked:(locked !i)
                   ~top:false ~escape:false
               | TField (c, base) ->
-                add ~fn:f.Growth.g_qname ~cell:c ~line ~write ~locked:(locked !i)
+                add ~fn:f.Project.g_qname ~cell:c ~line ~write ~locked:(locked !i)
                   ~top:(base <> None) ~escape:false;
                 (match base with
                 | Some b ->
-                  add ~fn:f.Growth.g_qname ~cell:b ~line ~write ~locked:(locked !i)
+                  add ~fn:f.Project.g_qname ~cell:b ~line ~write ~locked:(locked !i)
                     ~top:false ~escape:false
                 | None -> ())
               | TNone -> ()))
@@ -363,10 +346,10 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
   (* pass 2: direct mentions — [x := e], [!x], [t.f <- e], bare field
      reads, and unconsumed cell mentions (alias escapes, read-only) *)
   let n = Array.length a in
-  let i = ref f.Growth.g_b in
+  let i = ref f.Project.g_b in
   while !i < hi do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
+      let name, line, ni = T.qualified a !i in
       if not (Hashtbl.mem consumed !i) then begin
         let assign =
           ni + 1 < n
@@ -377,17 +360,17 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
         match target cells fc name with
         | TGlobal c ->
           if assign then
-            add ~fn:f.Growth.g_qname ~cell:c ~line ~write:true ~locked:(locked !i)
+            add ~fn:f.Project.g_qname ~cell:c ~line ~write:true ~locked:(locked !i)
               ~top:false ~escape:false
           else
-            add ~fn:f.Growth.g_qname ~cell:c ~line ~write:false ~locked:(locked !i)
+            add ~fn:f.Project.g_qname ~cell:c ~line ~write:false ~locked:(locked !i)
               ~top:false ~escape:(not deref)
         | TField (c, base) ->
-          add ~fn:f.Growth.g_qname ~cell:c ~line ~write:assign ~locked:(locked !i)
+          add ~fn:f.Project.g_qname ~cell:c ~line ~write:assign ~locked:(locked !i)
             ~top:(assign && base <> None) ~escape:false;
           (match base with
           | Some b ->
-            add ~fn:f.Growth.g_qname ~cell:b ~line ~write:assign ~locked:(locked !i)
+            add ~fn:f.Project.g_qname ~cell:b ~line ~write:assign ~locked:(locked !i)
               ~top:false ~escape:(not assign)
           | None -> ())
         | TNone -> ()
@@ -400,18 +383,18 @@ let scan_fn cells (fc : Growth.file_ctx) (f : Growth.fn) ~add =
 (* ---- the effect fixpoint --------------------------------------------- *)
 
 let compute p =
-  let files = Growth.files p in
+  let files = Project.files p in
   let fields = field_inventory files in
   let cells = global_inventory files fields in
   let accesses = ref [] in
   List.iter
-    (fun (fc : Growth.file_ctx) ->
+    (fun (fc : Project.file) ->
       let add ~fn ~cell ~line ~write ~locked ~top ~escape =
         accesses :=
           {
             a_fn = fn;
             a_cell = cell;
-            a_file = fc.Growth.fc_path;
+            a_file = fc.Project.fc_path;
             a_line = line;
             a_write = write;
             a_locked = locked;
@@ -420,7 +403,7 @@ let compute p =
           }
           :: !accesses
       in
-      List.iter (fun f -> scan_fn cells fc f ~add) fc.Growth.fc_fns)
+      List.iter (fun f -> scan_fn cells fc f ~add) (Project.fns fc))
     files;
   let accesses =
     List.sort_uniq
@@ -433,14 +416,14 @@ let compute p =
   (* direct summaries, then propagate callee effects to a fixpoint *)
   let summaries = Hashtbl.create 256 in
   List.iter
-    (fun (fc : Growth.file_ctx) ->
+    (fun (fc : Project.file) ->
       List.iter
-        (fun (f : Growth.fn) ->
-          if not (Hashtbl.mem summaries f.Growth.g_qname) then
-            Hashtbl.replace summaries f.Growth.g_qname
-              (Summary.create ~qname:f.Growth.g_qname ~file:fc.Growth.fc_path
-                 ~line:f.Growth.g_line ~params:[]))
-        fc.Growth.fc_fns)
+        (fun (f : Project.fn) ->
+          if not (Hashtbl.mem summaries f.Project.g_qname) then
+            Hashtbl.replace summaries f.Project.g_qname
+              (Summary.create ~qname:f.Project.g_qname ~file:fc.Project.fc_path
+                 ~line:f.Project.g_line ~params:[]))
+        (Project.fns fc))
     files;
   List.iter
     (fun a ->
@@ -465,7 +448,7 @@ let compute p =
               List.iter (Summary.add_read s) cs.Summary.reads;
               List.iter (Summary.add_write s) cs.Summary.writes;
               if Summary.fingerprint s <> before then changed := true)
-          (Growth.callees p q))
+          (Project.callees p q))
       summaries
   done;
   let cell_list =

@@ -17,7 +17,7 @@
     alias escapes (an unconsumed mention of a cell, counted as a read:
     writes through the escaping alias are a documented static blind
     spot, which the dynamic probe cross-check in [lib/check] exists to
-    catch) — and closes the footprints over {!Growth}'s call graph to
+    catch) — and closes the footprints over the {!Project} call graph to
     a fixpoint, so effects cross modules and SCCs. Writes lexically
     inside a [Mutex.with_lock] body or a [Mutex.lock]..[unlock] span
     are marked guarded; the lock fact does {e not} flow through calls
@@ -57,6 +57,6 @@ type t = {
       (** qname -> closed (transitive) effect footprint *)
 }
 
-val compute : Growth.project -> t
+val compute : Project.t -> t
 
 val fn_summary : t -> string -> Summary.t option

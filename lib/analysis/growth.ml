@@ -1,5 +1,3 @@
-module SL = Source_lint
-
 (* ---- certificates ---------------------------------------------------- *)
 
 type verdict = Bounded | Flagged
@@ -35,276 +33,8 @@ let by_site a b =
       let c = compare a.c_site b.c_site in
       if c <> 0 then c else compare a.c_kind b.c_kind
 
-(* ---- project model --------------------------------------------------- *)
-
-type fn = {
-  g_qname : string;  (* Module.name; "Module.<unit:L>" for anonymous items *)
-  g_line : int;
-  g_b : int;  (* first token of the item (the [let]) *)
-  g_e : int;  (* exclusive *)
-}
-
-type file_ctx = {
-  fc_path : string;
-  fc_mdl : string;
-  fc_toks : Lexer.token array;
-  fc_pm : int array;
-  fc_pragmas : Lexer.pragma list;
-  fc_fns : fn list;
-  fc_stores : (string, unit) Hashtbl.t;  (* module-level containers *)
-}
-
-type project = {
-  files : file_ctx list;
-  defs : (string, file_ctx * fn) Hashtbl.t;  (* qname -> definition, first wins *)
-  calls : (string, string list) Hashtbl.t;  (* qname -> resolved callees *)
-  roots : (string, string) Hashtbl.t;  (* root qname -> why it is a root *)
-  reach : (string, (string, unit) Hashtbl.t) Hashtbl.t;  (* root -> reachable set *)
-}
-
-let is_upper c = c >= 'A' && c <= 'Z'
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-(* Canonical name of a container/counter expression, mirroring the
-   interprocedural pass's lock canonicalization: [Module.x] for
-   module-level stores, [.field] for record fields (same-named fields
-   merge across types — an accepted over-approximation), ["?"]-prefixed
-   when identity is unknowable (locals, parameters). *)
-let canon ctx raw =
-  if SL.is_simple raw then
-    if Hashtbl.mem ctx.fc_stores raw then ctx.fc_mdl ^ "." ^ raw else "?" ^ raw
-  else
-    let first = List.hd (segments raw) in
-    if first <> "" && is_upper first.[0] then SL.last2 raw else "." ^ last_segment raw
-
-let canonical s = String.length s > 0 && s.[0] <> '?'
-
-(* Skip one argument-shaped token group: a dotted name, a balanced
-   ()/[]/{} group, or a single token. Labels are skipped transparently
-   by the callers. *)
-let skip_group (a : Lexer.token array) i =
-  let n = Array.length a in
-  match a.(i).Lexer.text with
-  | "(" | "[" | "{" ->
-    let depth = ref 0 in
-    let j = ref i in
-    let stop = ref (-1) in
-    while !stop < 0 && !j < n do
-      (match a.(!j).Lexer.text with
-      | "(" | "[" | "{" -> incr depth
-      | ")" | "]" | "}" ->
-        decr depth;
-        if !depth = 0 then stop := !j
-      | _ -> ());
-      incr j
-    done;
-    if !stop >= 0 then !stop + 1 else n
-  | t when Lexer.is_ident t ->
-    let _, _, j = SL.qualified a i in
-    j
-  | _ -> i + 1
-
-(* The [k]-th positional argument after token [i], as a dotted name;
-   [~label:] arguments are skipped. *)
-let rec nth_arg (a : Lexer.token array) i k =
-  let n = Array.length a in
-  if i >= n then None
-  else if a.(i).Lexer.text = "~" && i + 2 < n && a.(i + 2).Lexer.text = ":" then
-    nth_arg a (skip_group a (i + 3)) k
-  else if k = 0 then
-    if Lexer.is_ident a.(i).Lexer.text then
-      let name, _, _ = SL.qualified a i in
-      Some name
-    else None
-  else nth_arg a (skip_group a i) (k - 1)
-
-(* ---- parsing one file ------------------------------------------------ *)
-
-let store_heads = [ "Queue.create"; "Hashtbl.create"; "Buffer.create"; "Rlog.create" ]
-
-let parse_file (path, src) =
-  let { Lexer.tokens = a; pragmas } = Lexer.scan src in
-  let pm = SL.paren_matches a in
-  let mdl = module_of_path path in
-  let bounds = SL.boundaries a in
-  let n = Array.length a in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
-  let stores = Hashtbl.create 8 in
-  let fns = ref [] in
-  List.iter
-    (fun (b, e) ->
-      let kw = a.(b).Lexer.text in
-      if (kw = "let" || kw = "and") && e > b + 1 then begin
-        let j = if a.(b + 1).Lexer.text = "rec" && b + 2 < e then b + 2 else b + 1 in
-        let line = a.(b).Lexer.line in
-        let qname =
-          if j < e && Lexer.is_ident a.(j).Lexer.text then begin
-            (* module-level store? [let name = Queue.create ...] *)
-            (if j + 2 < e && a.(j + 1).Lexer.text = "=" && Lexer.is_ident a.(j + 2).Lexer.text
-             then
-               let h, _, _ = SL.qualified a (j + 2) in
-               if List.mem (SL.last2 h) store_heads then
-                 Hashtbl.replace stores a.(j).Lexer.text ());
-            mdl ^ "." ^ a.(j).Lexer.text
-          end
-          else Printf.sprintf "%s.<unit:%d>" mdl line
-        in
-        fns := { g_qname = qname; g_line = line; g_b = b; g_e = e } :: !fns
-      end)
-    (pairs bounds);
-  {
-    fc_path = path;
-    fc_mdl = mdl;
-    fc_toks = a;
-    fc_pm = pm;
-    fc_pragmas = pragmas;
-    fc_fns = List.rev !fns;
-    fc_stores = stores;
-  }
-
-(* ---- call edges and remote-triggered roots --------------------------- *)
-
-(* Heads whose closure argument runs in a remote- or callback-triggered
-   context: the RPC/net delivery path, a spawned coroutine (fed by
-   remote traffic), or an event-completion callback. *)
-let trigger_heads =
-  [
-    ("Rpc.serve", "RPC handler");
-    ("Net.register", "net delivery handler");
-    ("Sched.spawn", "spawned coroutine");
-    ("Sched.spawn_here", "spawned coroutine");
-    ("Node.spawn", "spawned coroutine");
-    ("Event.on_fire", "completion callback");
-    ("Event.on_abandon", "abandon callback");
-  ]
-
-let resolve p ~mdl name =
-  if SL.is_simple name then
-    let q = mdl ^ "." ^ name in
-    if Hashtbl.mem p.defs q then Some q else None
-  else
-    let q = SL.last2 name in
-    if Hashtbl.mem p.defs q then Some q else None
-
-let load sources =
-  let files = List.map parse_file sources in
-  let defs = Hashtbl.create 256 in
-  List.iter
-    (fun fc ->
-      List.iter
-        (fun f -> if not (Hashtbl.mem defs f.g_qname) then Hashtbl.add defs f.g_qname (fc, f))
-        fc.fc_fns)
-    files;
-  let p = { files; defs; calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
-  (* call edges: any resolvable name mentioned in a body is an edge —
-     closures are treated as invoked, so a pump thunk stored in a record
-     still connects its installer to the drain *)
-  List.iter
-    (fun fc ->
-      let a = fc.fc_toks in
-      List.iter
-        (fun f ->
-          let callees = ref [] in
-          let i = ref f.g_b in
-          while !i < f.g_e do
-            if Lexer.is_ident a.(!i).Lexer.text then begin
-              let name, _, ni = SL.qualified a !i in
-              (match resolve p ~mdl:fc.fc_mdl name with
-              | Some q when q <> f.g_qname -> callees := q :: !callees
-              | _ -> ());
-              i := ni
-            end
-            else incr i
-          done;
-          Hashtbl.replace p.calls f.g_qname (List.sort_uniq compare !callees))
-        fc.fc_fns)
-    files;
-  (* roots: resolvable names inside the first [(fun ...)] closure
-     following a trigger head ([~handler:(fun ...)], spawn thunks,
-     completion callbacks) *)
-  List.iter
-    (fun fc ->
-      let a = fc.fc_toks in
-      let n = Array.length a in
-      let i = ref 0 in
-      while !i < n do
-        if Lexer.is_ident a.(!i).Lexer.text then begin
-          let name, _, ni = SL.qualified a !i in
-          (match List.assoc_opt (SL.last2 name) trigger_heads with
-          | Some why ->
-            (* find the first [(fun] within the next tokens *)
-            let j = ref ni in
-            let found = ref false in
-            while (not !found) && !j < min n (ni + 100) do
-              if
-                a.(!j).Lexer.text = "("
-                && !j + 1 < n
-                && a.(!j + 1).Lexer.text = "fun"
-                && fc.fc_pm.(!j) >= 0
-              then begin
-                found := true;
-                let close = fc.fc_pm.(!j) in
-                let k = ref (!j + 2) in
-                while !k < close do
-                  if Lexer.is_ident a.(!k).Lexer.text then begin
-                    let cname, _, kn = SL.qualified a !k in
-                    (match resolve p ~mdl:fc.fc_mdl cname with
-                    | Some q -> if not (Hashtbl.mem p.roots q) then Hashtbl.add p.roots q why
-                    | None -> ());
-                    k := kn
-                  end
-                  else incr k
-                done
-              end
-              else incr j
-            done
-          | None -> ());
-          i := ni
-        end
-        else incr i
-      done)
-    files;
-  (* reachability closure per root *)
-  Hashtbl.iter
-    (fun root _ ->
-      let seen = Hashtbl.create 32 in
-      let rec go q =
-        if not (Hashtbl.mem seen q) then begin
-          Hashtbl.add seen q ();
-          match Hashtbl.find_opt p.calls q with
-          | Some cs -> List.iter go cs
-          | None -> ()
-        end
-      in
-      go root;
-      Hashtbl.replace p.reach root seen)
-    p.roots;
-  p
-
-let files p = p.files
-let callees p q = try Hashtbl.find p.calls q with Not_found -> []
-
-let fn_of_token fc i =
-  List.find_opt (fun f -> f.g_b <= i && i < f.g_e) fc.fc_fns
-
-let remote_reachable p qname =
-  Hashtbl.fold (fun _ set acc -> acc || Hashtbl.mem set qname) p.reach false
-
-(* roots whose reachable set contains [qname], with the reason *)
-let roots_reaching p qname =
-  Hashtbl.fold
-    (fun root set acc -> if Hashtbl.mem set qname then (root, Hashtbl.find p.roots root) :: acc else acc)
-    p.reach []
-  |> List.sort compare
+let canon (fc : Project.file) raw =
+  Tokens.canon ~mdl:fc.Project.fc_mdl ~local:(Hashtbl.mem (Project.stores fc)) raw
 
 (* ---- growth sites and bound evidence --------------------------------- *)
 
@@ -386,15 +116,15 @@ let near_comparison (a : Lexer.token array) i j =
   || is_cmp (i - 1)
   || (i - 1 >= 0 && a.(i - 1).Lexer.text = "=" && is_cmp (i - 2))
 
-let scan_fn fc (f : fn) (facts : facts) =
-  let a = fc.fc_toks in
-  let n = f.g_e in
+let scan_fn (fc : Project.file) (f : Project.fn) (facts : facts) =
+  let a = fc.Project.fc_toks in
+  let n = f.Project.g_e in
   let add_site line container kind op =
-    if canonical container then
+    if Tokens.canonical container then
       facts.sites <-
         {
-          s_fn = f.g_qname;
-          s_file = fc.fc_path;
+          s_fn = f.Project.g_qname;
+          s_file = fc.Project.fc_path;
           s_line = line;
           s_container = container;
           s_kind = kind;
@@ -403,34 +133,34 @@ let scan_fn fc (f : fn) (facts : facts) =
         :: facts.sites
   in
   let add_ev line container kind what =
-    if canonical container then
+    if Tokens.canonical container then
       facts.evidence <-
-        { e_fn = f.g_qname; e_line = line; e_container = container; e_kind = kind; e_what = what }
+        { e_fn = f.Project.g_qname; e_line = line; e_container = container; e_kind = kind; e_what = what }
         :: facts.evidence
   in
-  let i = ref f.g_b in
+  let i = ref f.Project.g_b in
   while !i < n do
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
-      let l2 = SL.last2 name in
+      let name, line, ni = Tokens.qualified a !i in
+      let l2 = Tokens.last2 name in
       (* container operations *)
       (match List.assoc_opt l2 growth_ops with
       | Some (argpos, kind) -> (
-        match nth_arg a ni argpos with
-        | Some arg -> add_site line (canon fc arg) kind l2
+        match Tokens.nth_arg_pos a ni argpos with
+        | Some (arg, _) -> add_site line (canon fc arg) kind l2
         | None -> ())
       | None -> ());
       (match List.assoc_opt l2 drain_ops with
       | Some kind -> (
-        match nth_arg a ni 0 with
-        | Some arg ->
+        match Tokens.nth_arg_pos a ni 0 with
+        | Some (arg, _) ->
           add_ev line (canon fc arg) kind (Printf.sprintf "drained via %s at line %d" l2 line)
         | None -> ())
       | None -> ());
       (match List.assoc_opt l2 length_ops with
       | Some kind -> (
-        match nth_arg a ni 0 with
-        | Some arg ->
+        match Tokens.nth_arg_pos a ni 0 with
+        | Some (arg, _) ->
           if near_comparison a (!i) ni then
             add_ev line (canon fc arg) kind
               (Printf.sprintf "capacity check on %s at line %d" l2 line)
@@ -441,13 +171,13 @@ let scan_fn fc (f : fn) (facts : facts) =
          comparison on [x.f] bound it; [x.f <- e :: x.f] grows a list;
          any other [x.f <- rhs] is a reset (evidence for cons only). *)
       if ni + 1 < n && a.(ni).Lexer.text = "<" && a.(ni + 1).Lexer.text = "-" then begin
-        let field = last_segment name in
+        let field = Tokens.last_segment name in
         let c = canon fc name in
         let rhs = ni + 2 in
         let handled = ref false in
         if rhs < n && Lexer.is_ident a.(rhs).Lexer.text then begin
-          let rname, _, rn = SL.qualified a rhs in
-          if last_segment rname = field && rn < n then
+          let rname, _, rn = Tokens.qualified a rhs in
+          if Tokens.last_segment rname = field && rn < n then
             match a.(rn).Lexer.text with
             | "+" ->
               handled := true;
@@ -468,8 +198,8 @@ let scan_fn fc (f : fn) (facts : facts) =
               && a.(!k + 1).Lexer.text = ":"
               && Lexer.is_ident a.(!k + 2).Lexer.text
             then begin
-              let rname, _, _ = SL.qualified a (!k + 2) in
-              if last_segment rname = field then found_cons := true
+              let rname, _, _ = Tokens.qualified a (!k + 2) in
+              if Tokens.last_segment rname = field then found_cons := true
             end;
             incr k
           done;
@@ -490,12 +220,12 @@ let scan_fn fc (f : fn) (facts : facts) =
 
 let analyze p =
   let facts = { sites = []; evidence = [] } in
-  List.iter (fun fc -> List.iter (fun f -> scan_fn fc f facts) fc.fc_fns) p.files;
+  List.iter (fun fc -> List.iter (fun f -> scan_fn fc f facts) (Project.fns fc)) (Project.files p);
   (* index evidence by (function, container, kind) for component lookup *)
   let ev_by_fn = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.add ev_by_fn (e.e_fn, e.e_container, e.e_kind) e) facts.evidence;
   let component_evidence root site =
-    match Hashtbl.find_opt p.reach root with
+    match Project.reachable p root with
     | None -> None
     | Some set ->
       (* deterministic witness: the least (function, line) match, so
@@ -517,7 +247,7 @@ let analyze p =
       let key = (s.s_file, s.s_line, s.s_container) in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
-        match roots_reaching p s.s_fn with
+        match Project.roots_reaching p s.s_fn with
         | [] -> ()  (* not remote-triggered: out of scope *)
         | roots -> (
           (* a site is unbounded if SOME remote-triggered component
@@ -526,10 +256,7 @@ let analyze p =
           let naked =
             List.find_opt (fun (root, _) -> component_evidence root s = None) roots
           in
-          match naked with
-          | None ->
-            let root = fst (List.hd roots) in
-            let ev = Option.get (component_evidence root s) in
+          let cert verdict evidence =
             certs :=
               {
                 c_rule = Finding.unbounded_growth;
@@ -537,10 +264,16 @@ let analyze p =
                 c_file = s.s_file;
                 c_line = s.s_line;
                 c_site = s.s_container;
-                c_verdict = Bounded;
-                c_evidence = Printf.sprintf "%s (in %s)" ev.e_what ev.e_fn;
+                c_verdict = verdict;
+                c_evidence = evidence;
               }
               :: !certs
+          in
+          match naked with
+          | None ->
+            let root = fst (List.hd roots) in
+            let ev = Option.get (component_evidence root s) in
+            cert Bounded (Printf.sprintf "%s (in %s)" ev.e_what ev.e_fn)
           | Some (root, why) ->
             if s.s_kind = Counter then ()
               (* a bare counter consumes no memory; without a cap
@@ -555,18 +288,7 @@ let analyze p =
                       without bound (the paper's RethinkDB backlog, §2)"
                      s.s_op s.s_container root why)
                 :: !findings;
-              certs :=
-                {
-                  c_rule = Finding.unbounded_growth;
-                  c_kind = kind_name s.s_kind;
-                  c_file = s.s_file;
-                  c_line = s.s_line;
-                  c_site = s.s_container;
-                  c_verdict = Flagged;
-                  c_evidence =
-                    Printf.sprintf "no drain or capacity check reachable from %s" root;
-                }
-                :: !certs
+              cert Flagged (Printf.sprintf "no drain or capacity check reachable from %s" root)
             end)
       end)
     (List.rev facts.sites);

@@ -1,16 +1,7 @@
-(** The project model and growth analysis behind the depfast-bounds
-    pass ({!Bounds}).
+(** The growth analysis and the certificate format behind the
+    depfast-bounds pass ({!Bounds}), over the {!Project} model.
 
-    Builds, from every source at once: a per-file token context, a
-    table of top-level items, a call graph where {e any} resolvable
-    name mentioned in a body is an edge (closures are treated as
-    invoked, so a pump thunk stored in a record still connects its
-    installer to the drain), and the set of {e remote-triggered roots}
-    — functions named inside the closure argument of [Rpc.serve]/
-    [Net.register] handlers, [spawn] thunks, and [Event.on_fire]
-    callbacks.
-
-    The growth analysis then collects {e accumulation sites}
+    The analysis collects {e accumulation sites}
     ([Queue.add], [Hashtbl.add], [Buffer.add_*], [Rlog.append], list
     cons onto a field, counter-window increments) over {e canonical}
     containers (module-level stores as [Module.x], record fields as
@@ -47,49 +38,6 @@ val verdict_name : verdict -> string
 val cert_to_json : cert -> string
 val by_site : cert -> cert -> int
 
-(** {2 Project model} *)
-
-type fn = {
-  g_qname : string;  (** [Module.name]; [Module.<unit:L>] for anonymous items *)
-  g_line : int;
-  g_b : int;  (** first token of the item *)
-  g_e : int;  (** exclusive *)
-}
-
-type file_ctx = {
-  fc_path : string;
-  fc_mdl : string;
-  fc_toks : Lexer.token array;
-  fc_pm : int array;
-  fc_pragmas : Lexer.pragma list;
-  fc_fns : fn list;
-  fc_stores : (string, unit) Hashtbl.t;
-}
-
-type project
-
-val load : (string * string) list -> project
-(** Parse every [(path, contents)] pair and close call edges, roots and
-    per-root reachability. *)
-
-val files : project -> file_ctx list
-val fn_of_token : file_ctx -> int -> fn option
-
-val callees : project -> string -> string list
-(** Resolved call edges out of a function, sorted; [[]] if unknown. *)
-
-val skip_group : Lexer.token array -> int -> int
-(** Index past one argument-shaped token group: a dotted name, a
-    balanced ()/[]/{} group, or a single token. *)
-
-val remote_reachable : project -> string -> bool
-(** Is the function with this qualified name reachable from any
-    remote-triggered root? *)
-
-val roots_reaching : project -> string -> (string * string) list
-(** The remote-triggered roots whose components contain the function:
-    [(root qname, why it is a root)], sorted. *)
-
-val analyze : project -> Finding.t list * cert list
+val analyze : Project.t -> Finding.t list * cert list
 (** The growth analysis: {!Finding.unbounded_growth} findings (pragmas
     not yet applied) and a certificate per remote-reachable site. *)

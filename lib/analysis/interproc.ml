@@ -1,4 +1,5 @@
 module SL = Source_lint
+module T = Tokens
 
 (* Where a remote-completion fact came from; only facts that crossed a
    boundary the per-file lint cannot see (another module, a record
@@ -33,7 +34,6 @@ type fctx = {
   mdl : string;
   toks : Lexer.token array;
   pm : int array;
-  pragmas : Lexer.pragma list;
   mutable fns : fn list;  (* named functions, with summaries *)
   mutable units : fn list;  (* value bindings, walked for findings only *)
   consts : (string, int) Hashtbl.t;  (* module-level int constants *)
@@ -52,35 +52,16 @@ type state = {
   lock_graph : Callgraph.Digraph.g;
 }
 
-let iter_heads = [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "Array.iter"; "Array.iteri" ]
-
-let is_upper c = c >= 'A' && c <= 'Z'
 let is_ident_at (a : Lexer.token array) i = i < Array.length a && Lexer.is_ident a.(i).Lexer.text
 
 let int_of_token txt =
   int_of_string_opt (String.concat "" (String.split_on_char '_' txt))
 
-let segments name = String.split_on_char '.' name
-let last_segment name = List.nth (segments name) (List.length (segments name) - 1)
-
-(* Canonical name of a mutex expression: [Module.x] for module-level
-   mutexes, [.field] for record fields (merging same-named fields of
-   different types — an accepted over-approximation), ["?"...]-prefixed
-   when identity is unknowable (parameters, complex expressions); the
-   latter still count as "a lock is held" but join no order graph. *)
-let canon_lock ctx raw =
-  if SL.is_simple raw then
-    if Hashtbl.mem ctx.mlocks raw then ctx.mdl ^ "." ^ raw else "?" ^ raw
-  else
-    let first = List.hd (segments raw) in
-    if first <> "" && is_upper first.[0] then SL.last2 raw else "." ^ last_segment raw
-
-let canonical l = String.length l > 0 && l.[0] <> '?'
+(* Canonical name of a mutex expression ({!Tokens.canon}); unknowable
+   ones still count as "a lock is held" but join no order graph. *)
+let canon_lock ctx raw = T.canon ~mdl:ctx.mdl ~local:(Hashtbl.mem ctx.mlocks) raw
 
 (* ---- per-file extraction -------------------------------------------- *)
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 (* Length of a list literal starting at a "[" token: depth-0 [;] count. *)
 let list_literal_length (a : Lexer.token array) i =
@@ -138,8 +119,8 @@ let parse_item ctx b e =
            | Some v when not (Lexer.is_ident t) -> Hashtbl.replace ctx.consts name v
            | _ ->
              if Lexer.is_ident t then begin
-               let h, _, hn = SL.qualified a r in
-               let l2 = SL.last2 h in
+               let h, _, hn = T.qualified a r in
+               let l2 = T.last2 h in
                if l2 = "Mutex.create" then Hashtbl.replace ctx.mlocks name ()
                else
                  match List.assoc_opt l2 SL.builtin_producers with
@@ -169,7 +150,7 @@ let parse_item ctx b e =
           (* labeled parameter: not positional; skip [~x] or [~x:pat] *)
           k := !k + 2;
           if !k < e && a.(!k).Lexer.text = ":" then begin
-            let _, k' = SL.parse_atom a ctx.pm (!k + 1) in
+            let _, k' = T.parse_atom a ctx.pm (!k + 1) in
             k := k'
           end
         end
@@ -194,72 +175,48 @@ let parse_item ctx b e =
     end
   end
 
-let build_fctx (path, src) =
-  let { Lexer.tokens = toks; pragmas } = Lexer.scan src in
+let build_fctx (fc : Project.file) =
   let ctx =
     {
-      path; mdl = module_of_path path; toks; pm = SL.paren_matches toks; pragmas;
-      fns = []; units = [];
+      path = fc.Project.fc_path; mdl = fc.Project.fc_mdl; toks = fc.Project.fc_toks;
+      pm = fc.Project.fc_pm; fns = []; units = [];
       consts = Hashtbl.create 8; lens = Hashtbl.create 8; aliases = Hashtbl.create 8;
       mlocks = Hashtbl.create 4; mvals = Hashtbl.create 4;
     }
   in
-  let bounds = SL.boundaries toks in
-  let n = Array.length toks in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
   List.iter
-    (fun (b, e) -> if toks.(b).Lexer.text = "let" then parse_item ctx b e)
-    (pairs bounds);
+    (fun (b, e) -> if ctx.toks.(b).Lexer.text = "let" then parse_item ctx b e)
+    fc.Project.fc_items;
   ctx.fns <- List.rev ctx.fns;
   ctx.units <- List.rev ctx.units;
   ctx
 
 (* ---- cross-module constant / length resolution ----------------------- *)
 
-let rec lookup_const st ctx name depth =
+(* A module-level int fact ([consts] or [lens]) of a name, chased
+   through aliases and module paths, possibly across modules. *)
+let rec lookup facts st ctx name depth =
   if depth > 4 then None
-  else if SL.is_simple name then
-    match Hashtbl.find_opt ctx.consts name with
+  else if T.is_simple name then
+    match Hashtbl.find_opt (facts ctx) name with
     | Some v -> Some v
     | None -> (
       match Hashtbl.find_opt ctx.aliases name with
-      | Some d -> lookup_const st ctx d (depth + 1)
+      | Some d -> lookup facts st ctx d (depth + 1)
       | None -> None)
   else
-    let l2 = SL.last2 name in
+    let l2 = T.last2 name in
     match String.index_opt l2 '.' with
     | Some j -> (
       let m = String.sub l2 0 j in
       let x = String.sub l2 (j + 1) (String.length l2 - j - 1) in
       match Hashtbl.find_opt st.modmap m with
-      | Some c -> lookup_const st c x (depth + 1)
+      | Some c -> lookup facts st c x (depth + 1)
       | None -> None)
     | None -> None
 
-let rec lookup_len st ctx name depth =
-  if depth > 4 then None
-  else if SL.is_simple name then
-    match Hashtbl.find_opt ctx.lens name with
-    | Some v -> Some v
-    | None -> (
-      match Hashtbl.find_opt ctx.aliases name with
-      | Some d -> lookup_len st ctx d (depth + 1)
-      | None -> None)
-  else
-    let l2 = SL.last2 name in
-    match String.index_opt l2 '.' with
-    | Some j -> (
-      let m = String.sub l2 0 j in
-      let x = String.sub l2 (j + 1) (String.length l2 - j - 1) in
-      match Hashtbl.find_opt st.modmap m with
-      | Some c -> lookup_len st c x (depth + 1)
-      | None -> None)
-    | None -> None
+let lookup_const = lookup (fun c -> c.consts)
+let lookup_len = lookup (fun c -> c.lens)
 
 (* ---- named lock regions / iteration regions per function ------------ *)
 
@@ -270,15 +227,15 @@ let lock_regions ctx (fn : fn) =
   let a = ctx.toks and pm = ctx.pm in
   let regions = ref [] in
   let open_locks = ref [] in
-  let atom_name at = match at with SL.AName s -> Some s | _ -> None in
+  let atom_name at = match at with T.AName s -> Some s | _ -> None in
   let i = ref fn.f_body in
   while !i < fn.f_end do
     if is_ident_at a !i then begin
-      let name, _, ni = SL.qualified a !i in
-      (match SL.last2 name with
+      let name, _, ni = T.qualified a !i in
+      (match T.last2 name with
       | "Mutex.with_lock" ->
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let mu, i2 = SL.parse_atom a pm i1 in
+        let _sched, i1 = T.parse_atom a pm ni in
+        let mu, i2 = T.parse_atom a pm i1 in
         let lname =
           match atom_name mu with Some s -> canon_lock ctx s | None -> "?with_lock"
         in
@@ -287,12 +244,12 @@ let lock_regions ctx (fn : fn) =
         else if i2 < fn.f_end && a.(i2).Lexer.text = "@" then
           regions := (lname, i2, fn.f_end - 1) :: !regions
       | "Mutex.lock" ->
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let mu, _ = SL.parse_atom a pm i1 in
+        let _sched, i1 = T.parse_atom a pm ni in
+        let mu, _ = T.parse_atom a pm i1 in
         let lname = match atom_name mu with Some s -> canon_lock ctx s | None -> "?lock" in
         open_locks := (lname, !i) :: !open_locks
       | "Mutex.unlock" -> (
-        let mu, _ = SL.parse_atom a pm ni in
+        let mu, _ = T.parse_atom a pm ni in
         let lname = match atom_name mu with Some s -> canon_lock ctx s | None -> "" in
         match List.partition (fun (l, _) -> l = lname) !open_locks with
         | (l, s) :: _, rest ->
@@ -323,7 +280,7 @@ let iter_regions ctx (fn : fn) =
   let i = ref fn.f_body in
   while !i < fn.f_end do
     if is_ident_at a !i then begin
-      let name, _, ni = SL.qualified a !i in
+      let name, _, ni = T.qualified a !i in
       (if name = "for" || name = "while" then loop_stack := !i :: !loop_stack
        else if name = "done" then
          match !loop_stack with
@@ -331,7 +288,7 @@ let iter_regions ctx (fn : fn) =
            regions := (s, !i, LUnknown) :: !regions;
            loop_stack := rest
          | [] -> ()
-       else if List.mem (SL.last2 name) iter_heads then
+       else if List.mem (T.last2 name) SL.iter_names then
          if ni < fn.f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
            let close = pm.(ni) in
            let len =
@@ -340,8 +297,8 @@ let iter_regions ctx (fn : fn) =
                | Some l -> LLit l
                | None -> LUnknown
              else
-               match SL.parse_atom a pm (close + 1) with
-               | SL.AName s, _ -> LName s
+               match T.parse_atom a pm (close + 1) with
+               | T.AName s, _ -> LName s
                | _ -> LUnknown
            in
            regions := (ni, close, len) :: !regions
@@ -363,11 +320,11 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   let iregions = iter_regions ctx fn in
   (match own with
   | Some o ->
-    List.iter (fun (l, _, _) -> if canonical l then Summary.add_acquire o l) lregions
+    List.iter (fun (l, _, _) -> if T.canonical l then Summary.add_acquire o l) lregions
   | None -> ());
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
   let add_lock_edge src dst line =
-    if canonical src && canonical dst && src <> dst then begin
+    if T.canonical src && T.canonical dst && src <> dst then begin
       if not (Hashtbl.mem st.edge_locs (src, dst)) then
         Hashtbl.replace st.edge_locs (src, dst) (ctx.path, line);
       Callgraph.Digraph.add_edge st.lock_graph ~src ~dst
@@ -388,7 +345,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   (* value fact of a name in value position (variable, module value,
      record-field access) *)
   let fact_of_name name =
-    if SL.is_simple name then
+    if T.is_simple name then
       match Hashtbl.find_opt env name with
       | Some f -> f
       | None -> (
@@ -402,14 +359,14 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
             | Some v -> VList v
             | None -> VNone)))
     else
-      let first = List.hd (segments name) in
-      if first = "" || not (is_upper first.[0]) then (
+      let first = List.hd (T.segments name) in
+      if first = "" || not (first.[0] >= 'A' && first.[0] <= 'Z') then (
         (* record-field path x.f / x.M.f *)
-        match Hashtbl.find_opt st.fields (last_segment name) with
+        match Hashtbl.find_opt st.fields (T.last_segment name) with
         | Some (k, src) -> VRemote (k, PField src)
         | None -> VNone)
       else
-        let l2 = SL.last2 name in
+        let l2 = T.last2 name in
         match String.index_opt l2 '.' with
         | Some j -> (
           let m = String.sub l2 0 j in
@@ -428,7 +385,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   in
   (* value fact of an applied (or copied) head *)
   let head_fact h =
-    let l2 = SL.last2 h in
+    let l2 = T.last2 h in
     match List.assoc_opt l2 SL.builtin_producers with
     | Some k -> VRemote (k, PLocal)
     | None ->
@@ -447,9 +404,9 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         | None -> fact_of_name h)
   in
   let atom_fact = function
-    | SL.AName s -> fact_of_name s
-    | SL.AParen (Some h) -> head_fact h
-    | SL.AParen None | SL.AOther -> VNone
+    | T.AName s -> fact_of_name s
+    | T.AParen (Some h) -> head_fact h
+    | T.AParen None | T.AOther -> VNone
   in
   let emit_finding f = match emit with Some e -> e f | None -> () in
   let emit_xmod line k p =
@@ -500,7 +457,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
             (if !k < close then
                let t = a.(!k).Lexer.text in
                if Lexer.is_ident t then begin
-                 let cn, _, _ = SL.qualified a !k in
+                 let cn, _, _ = T.qualified a !k in
                  match fact_of_name cn with
                  | VInt v -> c := Some v
                  | _ -> c := Some (-1) (* Count of something unresolvable: give up *)
@@ -520,7 +477,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   in
   let mark_escaped at =
     match at with
-    | SL.AName s when SL.is_simple s -> (
+    | T.AName s when T.is_simple s -> (
       match Hashtbl.find_opt env s with
       | Some (VQuorum qc) -> qc.q_unknown <- true
       | _ -> ())
@@ -548,7 +505,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
                    RethinkDB hazard, paper §2, across a call boundary)"
                   callee.Summary.qname
                   (String.concat ", "
-                     (List.map (fun l -> if canonical l then l else "a mutex") held_here)))))
+                     (List.map (fun l -> if T.canonical l then l else "a mutex") held_here)))))
       held_here;
     (* positional arguments, labels skipped; stop at the first non-atom *)
     let j = ref ni in
@@ -559,15 +516,15 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       if t = "~" || t = "?" then begin
         j := !j + 2;
         if !j < fn.f_end && a.(!j).Lexer.text = ":" then begin
-          let at, j' = SL.parse_atom a pm (!j + 1) in
+          let at, j' = T.parse_atom a pm (!j + 1) in
           mark_escaped at;
           j := j'
         end
       end
       else begin
-        let at, j' = SL.parse_atom a pm !j in
+        let at, j' = T.parse_atom a pm !j in
         match at with
-        | SL.AOther -> stop := true
+        | T.AOther -> stop := true
         | _ ->
           mark_escaped at;
           if List.mem !pos callee.Summary.wait_params then begin
@@ -596,15 +553,15 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       match f with VNone -> () | f -> Hashtbl.replace env name f
     in
     match (pat, rhs) with
-    | SL.PVar name, SL.RHead (Some h) ->
-      if SL.last2 h = "Event.quorum" then begin
+    | T.PVar name, T.RHead (Some h) ->
+      if T.last2 h = "Event.quorum" then begin
         (* the head token follows the [=]; find it to parse the arity *)
         let k = ref (eq + 1) in
         while !k < fn.f_end && a.(!k).Lexer.text = "(" do
           incr k
         done;
         if is_ident_at a !k then begin
-          let _, _, hend = SL.qualified a !k in
+          let _, _, hend = T.qualified a !k in
           bind1 name (VQuorum (quorum_cell line hend))
         end
       end
@@ -616,7 +573,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         | Some l -> bind1 name (VList l)
         | None -> bind1 name VNone
       else bind1 name (head_fact h)
-    | SL.PVar name, SL.RHead None ->
+    | T.PVar name, T.RHead None ->
       if eq + 1 < fn.f_end && a.(eq + 1).Lexer.text = "[" then (
         match list_literal_length a (eq + 1) with
         | Some l -> bind1 name (VList l)
@@ -625,15 +582,15 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         match int_of_token a.(eq + 1).Lexer.text with
         | Some v when eq + 1 < fn.f_end -> bind1 name (VInt v)
         | _ -> bind1 name VNone)
-    | SL.PVar name, SL.RTuple _ -> bind1 name VNone
-    | SL.PTuple names, SL.RTuple comps ->
+    | T.PVar name, T.RTuple _ -> bind1 name VNone
+    | T.PTuple names, T.RTuple comps ->
       List.iteri
         (fun i name ->
           match List.nth_opt comps i with
           | Some (Some h) -> bind1 name (head_fact h)
           | _ -> bind1 name VNone)
         names
-    | SL.PTuple names, SL.RHead (Some h) ->
+    | T.PTuple names, T.RHead (Some h) ->
       let comps =
         match Callgraph.resolve st.cg ~current_module:ctx.mdl h with
         | Some callee ->
@@ -651,7 +608,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         (fun i name ->
           match List.nth_opt comps i with Some f -> bind1 name f | None -> bind1 name VNone)
         names
-    | SL.PTuple names, SL.RHead None -> List.iter (fun n -> bind1 n VNone) names
+    | T.PTuple names, T.RHead None -> List.iter (fun n -> bind1 n VNone) names
   in
   (* record literal at token [i]: each [field = <head>] with a remote
      head registers a field fact *)
@@ -679,7 +636,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
             incr k
           done;
           if is_ident_at a !k then begin
-            let h, _, _ = SL.qualified a !k in
+            let h, _, _ = T.qualified a !k in
             match head_fact h with
             | VRemote (kk, _) -> set_field field kk
             | _ -> ()
@@ -693,32 +650,32 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   (* ---- linear scan in program order ---- *)
   let i = ref fn.f_body in
   while !i < fn.f_end do
-    (match SL.binding_at a pm !i with
+    (match T.binding_at a pm !i with
     | Some (pat, rhs, eq) -> handle_binding pat rhs a.(!i).Lexer.line eq
     | None -> ());
     if is_ident_at a !i then begin
-      let name, line, ni = SL.qualified a !i in
-      (match SL.last2 name with
+      let name, line, ni = T.qualified a !i in
+      (match T.last2 name with
       | "Sched.wait" | "Sched.wait_timeout" ->
         set_suspends ();
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
+        let _sched, i1 = T.parse_atom a pm ni in
+        let ev, _ = T.parse_atom a pm i1 in
         (match ev with
-        | SL.AName s -> (
+        | T.AName s -> (
           match fact_of_name s with
           | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
           | VParam idx -> ( match own with Some o -> Summary.add_wait_param o idx | None -> ())
           | _ -> ())
-        | SL.AParen (Some h) -> (
+        | T.AParen (Some h) -> (
           match head_fact h with
           | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
           | _ -> ())
         | _ -> ())
       | "Condvar.wait" | "Condvar.wait_timeout" -> set_suspends ()
       | "Event.add" -> (
-        let parent, _ = SL.parse_atom a pm ni in
+        let parent, _ = T.parse_atom a pm ni in
         match parent with
-        | SL.AName p when SL.is_simple p -> (
+        | T.AName p when T.is_simple p -> (
           match Hashtbl.find_opt env p with
           | Some (VQuorum qc) -> (
             match add_weight !i with
@@ -732,16 +689,16 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         | Some callee -> handle_call callee line !i ni
         | None -> ()));
       (* field assignment [x.f <- <head>] *)
-      (if (not (SL.is_simple name)) && ni + 1 < fn.f_end && a.(ni).Lexer.text = "<"
+      (if (not (T.is_simple name)) && ni + 1 < fn.f_end && a.(ni).Lexer.text = "<"
           && a.(ni + 1).Lexer.text = "-" then begin
          let k = ref (ni + 2) in
          while !k < fn.f_end && a.(!k).Lexer.text = "(" do
            incr k
          done;
          if is_ident_at a !k then begin
-           let h, _, _ = SL.qualified a !k in
+           let h, _, _ = T.qualified a !k in
            match head_fact h with
-           | VRemote (kk, _) -> set_field (last_segment name) kk
+           | VRemote (kk, _) -> set_field (T.last_segment name) kk
            | _ -> ()
          end
        end);
@@ -766,7 +723,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     let start = if !lo <= fn.f_body then fn.f_body else !lo in
     let ret =
       if start >= e then []
-      else if start = e - 1 && is_ident_at a start && SL.is_simple a.(start).Lexer.text then (
+      else if start = e - 1 && is_ident_at a start && T.is_simple a.(start).Lexer.text then (
         match Hashtbl.find_opt env a.(start).Lexer.text with
         | Some (VRemote (k, _)) -> [ Some k ]
         | Some (VQuorum qc) ->
@@ -774,7 +731,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
           []
         | _ -> [])
       else if a.(start).Lexer.text = "(" && pm.(start) = e - 1 then (
-        match SL.tuple_components a pm start with
+        match T.tuple_components a pm start with
         | Some comps ->
           let facts =
             List.map
@@ -793,7 +750,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
           incr k
         done;
         if !k < e then (
-          let h, _, _ = SL.qualified a !k in
+          let h, _, _ = T.qualified a !k in
           match head_fact h with VRemote (kk, _) -> [ Some kk ] | _ -> [])
         else []
       end
@@ -817,8 +774,8 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
 
 (* ---- the whole-project pass ----------------------------------------- *)
 
-let analyze_sources sources =
-  let ctxs = List.map build_fctx sources in
+let analyze p =
+  let ctxs = List.map build_fctx (Project.files p) in
   let st =
     {
       cg = Callgraph.create ();
@@ -899,33 +856,10 @@ let analyze_sources sources =
                  interleavings convoy (acquisition sites: %s)"
                 (String.concat " -> " path) sites)))
     (Callgraph.Digraph.cycles st.lock_graph);
-  (* pragma exemptions, per finding file *)
-  let pragmas_of =
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun ctx -> Hashtbl.replace tbl ctx.path ctx.pragmas) ctxs;
-    fun path -> try Hashtbl.find tbl path with Not_found -> []
-  in
-  let allowed_at path rule line =
-    List.exists
-      (fun (p : Lexer.pragma) ->
-        p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-      (pragmas_of path)
-  in
-  !findings
-  |> List.map (fun (f : Finding.t) ->
-         match f.Finding.loc with
-         | Finding.File { file; line } when allowed_at file f.Finding.rule line ->
-           { f with Finding.allowed = true }
-         | _ -> f)
+  Project.apply_pragmas (Project.files p) !findings
   |> List.sort_uniq (fun a b ->
          let c = Finding.by_location a b in
          if c <> 0 then c else compare a b)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+let analyze_sources sources = analyze (Project.load sources)
+let analyze_files paths = analyze (Project.load_files paths)

@@ -32,6 +32,10 @@
     same [(* depfast-lint: allow rule-id *)] pragmas as the per-file
     pass. *)
 
+val analyze : Project.t -> Finding.t list
+(** The pass over a loaded project: reads only the scan; pragma-applied,
+    sorted by location. *)
+
 val analyze_sources : (string * string) list -> Finding.t list
 (** [(path, contents)] pairs — the whole project at once. *)
 

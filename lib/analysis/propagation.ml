@@ -2,13 +2,13 @@
    downstream of a fail-slow resource site. Seeds are syntactic heads —
    disk submissions, net/rpc sends and deliveries, declared cost-model
    work, and flagged growth sites from the boundedness pass — and taint
-   flows callee -> caller over {!Growth}'s call graph: a synchronous
+   flows callee -> caller over the {!Project} call graph: a synchronous
    caller inherits the slowness of everything it invokes. Each tainted
    function keeps a deterministic least-(file, line) seed witness and
    one call-chain path back to it, so certificates can print the same
    evidence regardless of discovery order. *)
 
-module SL = Source_lint
+module T = Tokens
 
 type fault = Cpu_slow | Disk_slow | Net_slow | Memory
 
@@ -28,11 +28,8 @@ type taint = {
   t_path : string list;  (** qnames, this fn first, seed fn last *)
 }
 
-type t = {
-  (* (fault rank, fn qname) -> best taint *)
-  tbl : (int * string, taint) Hashtbl.t;
-  sources : source list;  (** every seed site, sorted *)
-}
+(* (fault rank, fn qname) -> best taint *)
+type t = (int * string, taint) Hashtbl.t
 
 (* Heads seeding each fault kind, matched on the last two dot-segments
    of a qualified mention (so [Cluster.Disk.write] and [Disk.write]
@@ -64,22 +61,22 @@ let taint_key t =
 let better a b = compare (taint_key a) (taint_key b) < 0
 
 (* Seeds mentioned directly in a function body. *)
-let scan_seeds (fc : Growth.file_ctx) (fn : Growth.fn) =
-  let toks = fc.Growth.fc_toks in
+let scan_seeds (fc : Project.file) (fn : Project.fn) =
+  let toks = fc.Project.fc_toks in
   let acc = ref [] in
-  let i = ref fn.Growth.g_b in
-  while !i < fn.Growth.g_e do
+  let i = ref fn.Project.g_b in
+  while !i < fn.Project.g_e do
     let t = toks.(!i) in
-    (* module segments start uppercase; [SL.qualified] joins the dotted
+    (* module segments start uppercase; [T.qualified] joins the dotted
        mention across the lexer's separate "." tokens *)
     if Lexer.is_ident t.Lexer.text && t.Lexer.text.[0] >= 'A' && t.Lexer.text.[0] <= 'Z'
     then begin
-      let name, line, j = SL.qualified toks !i in
+      let name, line, j = T.qualified toks !i in
       (if String.contains name '.' then
-         match List.assoc_opt (SL.last2 name) seed_heads with
+         match List.assoc_opt (T.last2 name) seed_heads with
          | Some k ->
            acc :=
-             { s_fault = k; s_head = SL.last2 name; s_file = fc.Growth.fc_path; s_line = line }
+             { s_fault = k; s_head = T.last2 name; s_file = fc.Project.fc_path; s_line = line }
              :: !acc
          | None -> ());
       i := j
@@ -89,28 +86,26 @@ let scan_seeds (fc : Growth.file_ctx) (fn : Growth.fn) =
   List.rev !acc
 
 (* Map a (file, line) growth site to its enclosing function. *)
-let fn_at_line (fc : Growth.file_ctx) line =
+let fn_at_line (fc : Project.file) line =
   List.fold_left
-    (fun best (fn : Growth.fn) ->
-      if fn.Growth.g_line <= line then
+    (fun best (fn : Project.fn) ->
+      if fn.Project.g_line <= line then
         match best with
-        | Some (b : Growth.fn) when b.Growth.g_line >= fn.Growth.g_line -> best
+        | Some (b : Project.fn) when b.Project.g_line >= fn.Project.g_line -> best
         | _ -> Some fn
       else best)
-    None fc.Growth.fc_fns
+    None (Project.fns fc)
 
-let analyze (p : Growth.project) =
+let analyze (p : Project.t) ~growth =
   let tbl : (int * string, taint) Hashtbl.t = Hashtbl.create 256 in
-  let sources = ref [] in
   let seed fn_qname s =
-    sources := s :: !sources;
     let key = (fault_rank s.s_fault, fn_qname) in
     let cand = { t_source = s; t_path = [ fn_qname ] } in
     match Hashtbl.find_opt tbl key with
     | Some old when not (better cand old) -> ()
     | _ -> Hashtbl.replace tbl key cand
   in
-  let files = Growth.files p in
+  let files = Project.files p in
   (* direct seeds: head mentions in bodies, plus the defining functions
      themselves (so [Disk.write]'s own definition is a disk source and
      every resolvable caller inherits it through the call graph even
@@ -118,43 +113,38 @@ let analyze (p : Growth.project) =
   List.iter
     (fun fc ->
       List.iter
-        (fun (fn : Growth.fn) ->
-          (match List.assoc_opt fn.Growth.g_qname seed_heads with
+        (fun (fn : Project.fn) ->
+          (match List.assoc_opt fn.Project.g_qname seed_heads with
           | Some k ->
-            seed fn.Growth.g_qname
+            seed fn.Project.g_qname
               {
                 s_fault = k;
-                s_head = fn.Growth.g_qname;
-                s_file = fc.Growth.fc_path;
-                s_line = fn.Growth.g_line;
+                s_head = fn.Project.g_qname;
+                s_file = fc.Project.fc_path;
+                s_line = fn.Project.g_line;
               }
           | None -> ());
-          List.iter (seed fn.Growth.g_qname) (scan_seeds fc fn))
-        fc.Growth.fc_fns)
+          List.iter (seed fn.Project.g_qname) (scan_seeds fc fn))
+        (Project.fns fc))
     files;
   (* memory-pressure seeds: growth sites the boundedness pass flagged
      as unbounded (a bounded queue is not a slowness source) and no
      pragma exempted — an [allow unbounded-growth] means a human
      certified the site bounded in practice, so it does not radiate *)
-  let allowed_growth fc line =
-    List.exists
-      (fun (pr : Lexer.pragma) ->
-        pr.Lexer.p_line <= line
-        && pr.Lexer.p_line >= line - 3
-        && List.mem "unbounded-growth" pr.Lexer.p_rules)
-      fc.Growth.fc_pragmas
-  in
-  let _, gcerts = Growth.analyze p in
   List.iter
     (fun (c : Growth.cert) ->
-      if c.Growth.c_verdict = Growth.Flagged then
+      if
+        c.Growth.c_verdict = Growth.Flagged
+        && not
+             (Project.allowed files ~file:c.Growth.c_file ~rule:Finding.unbounded_growth
+                c.Growth.c_line)
+      then
         List.iter
           (fun fc ->
-            if fc.Growth.fc_path = c.Growth.c_file && not (allowed_growth fc c.Growth.c_line)
-            then
+            if fc.Project.fc_path = c.Growth.c_file then
               match fn_at_line fc c.Growth.c_line with
               | Some fn ->
-                seed fn.Growth.g_qname
+                seed fn.Project.g_qname
                   {
                     s_fault = Memory;
                     s_head = c.Growth.c_kind;
@@ -163,12 +153,12 @@ let analyze (p : Growth.project) =
                   }
               | None -> ())
           files)
-    gcerts;
+    growth;
   (* callee -> caller fixpoint with least-witness merging; keys only
      ever decrease, so this terminates even across call cycles *)
   let fns =
     List.concat_map
-      (fun fc -> List.map (fun (f : Growth.fn) -> f.Growth.g_qname) fc.Growth.fc_fns)
+      (fun fc -> List.map (fun (f : Project.fn) -> f.Project.g_qname) (Project.fns fc))
       files
     |> List.sort_uniq compare
   in
@@ -195,17 +185,15 @@ let analyze (p : Growth.project) =
                         changed := true
                     end)
                 all)
-          (Growth.callees p caller))
+          (Project.callees p caller))
       fns
   done;
-  { tbl; sources = List.sort_uniq (fun a b -> compare (source_key a) (source_key b)) !sources }
+  tbl
 
 let taints t qname =
   List.filter_map
     (fun k ->
-      match Hashtbl.find_opt t.tbl (fault_rank k, qname) with
+      match Hashtbl.find_opt t (fault_rank k, qname) with
       | Some taint -> Some (k, taint)
       | None -> None)
     all
-
-let sources t = t.sources

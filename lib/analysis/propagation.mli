@@ -7,7 +7,7 @@
     [Net.send]/[register], [Event.rpc_completion]), declared cost-model
     work ([Node.cpu_work]), and growth sites the boundedness pass
     flagged unbounded — then propagates callee → caller over
-    {!Growth}'s whole-project call graph: a synchronous caller inherits
+    the {!Project} whole-project call graph: a synchronous caller inherits
     the slowness of everything it invokes.
 
     Fault kinds mirror the injectable [Cluster.Fault.kind]s (this
@@ -21,9 +21,6 @@ type fault = Cpu_slow | Disk_slow | Net_slow | Memory
 val fault_name : fault -> string
 (** ["cpu-slow" | "disk-slow" | "net-slow" | "memory"] — matched by
     name against [Cluster.Fault.kind] in [lib/check]. *)
-
-val all : fault list
-val fault_rank : fault -> int
 
 type source = {
   s_fault : fault;
@@ -39,11 +36,10 @@ type taint = {
 
 type t
 
-val analyze : Growth.project -> t
+val analyze : Project.t -> growth:Growth.cert list -> t
+(** [growth] is {!Growth.analyze}'s certificates for the same project:
+    its flagged sites seed [Memory] taint. *)
 
 val taints : t -> string -> (fault * taint) list
-(** Taints of a function by qualified name, in {!all} order; [[]] when
-    untainted. *)
-
-val sources : t -> source list
-(** Every seed site found, sorted by (file, line, head). *)
+(** Taints of a function by qualified name, in fault-kind order; [[]]
+    when untainted. *)

@@ -1,3 +1,5 @@
+open Tokens
+
 type kind = Rpc | Disk
 
 (* Qualified names (matched on their last two segments) that construct a
@@ -22,89 +24,6 @@ let iter_names =
   [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "Array.iter"; "Array.iteri" ]
 
 let kind_name = function Rpc -> "rpc" | Disk -> "disk"
-
-let last2 name =
-  match String.rindex_opt name '.' with
-  | None -> name
-  | Some j -> (
-    match String.rindex_from_opt name (j - 1) '.' with
-    | None -> name
-    | Some k -> String.sub name (k + 1) (String.length name - k - 1))
-
-let is_simple name = not (String.contains name '.')
-
-(* ---- token-stream helpers ------------------------------------------- *)
-
-let qualified (a : Lexer.token array) i =
-  let n = Array.length a in
-  let buf = Buffer.create 24 in
-  Buffer.add_string buf a.(i).Lexer.text;
-  let j = ref (i + 1) in
-  let continue = ref true in
-  while !continue do
-    if !j + 1 < n && a.(!j).Lexer.text = "." && Lexer.is_ident a.(!j + 1).Lexer.text then begin
-      Buffer.add_char buf '.';
-      Buffer.add_string buf a.(!j + 1).Lexer.text;
-      j := !j + 2
-    end
-    else continue := false
-  done;
-  (Buffer.contents buf, a.(i).Lexer.line, !j)
-
-type atom = AName of string | AParen of string option | AOther
-
-(* [parse_atom a pm i] consumes one argument-shaped expression starting
-   at token [i]: a (possibly dotted) name, or a parenthesised expression
-   whose first inner name is taken as its head. *)
-let parse_atom (a : Lexer.token array) (pm : int array) i =
-  let n = Array.length a in
-  if i >= n then (AOther, i)
-  else if a.(i).Lexer.text = "(" then begin
-    let close = if pm.(i) >= 0 then pm.(i) else n - 1 in
-    let j = ref (i + 1) in
-    while !j < close && a.(!j).Lexer.text = "(" do
-      incr j
-    done;
-    let head =
-      if !j < close && Lexer.is_ident a.(!j).Lexer.text then
-        let name, _, _ = qualified a !j in
-        Some name
-      else None
-    in
-    (AParen head, close + 1)
-  end
-  else if Lexer.is_ident a.(i).Lexer.text then begin
-    let name, _, next = qualified a i in
-    (AName name, next)
-  end
-  else (AOther, i + 1)
-
-let paren_matches (a : Lexer.token array) =
-  let n = Array.length a in
-  let pm = Array.make n (-1) in
-  let stack = ref [] in
-  for i = 0 to n - 1 do
-    match a.(i).Lexer.text with
-    | "(" -> stack := i :: !stack
-    | ")" -> (
-      match !stack with
-      | o :: rest ->
-        pm.(o) <- i;
-        stack := rest
-      | [] -> ())
-    | _ -> ()
-  done;
-  pm
-
-let boundary_keywords = [ "let"; "module"; "open"; "type"; "exception"; "include"; "and"; "end" ]
-
-let boundaries (a : Lexer.token array) =
-  let out = ref [] in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      if t.Lexer.col = 0 && List.mem t.Lexer.text boundary_keywords then out := i :: !out)
-    a;
-  List.rev !out
 
 let next_boundary bounds i =
   match List.find_opt (fun b -> b > i) bounds with
@@ -136,110 +55,6 @@ let components_of_head env h =
     | None -> None
 
 let resolve_head env h = Option.bind (components_of_head env h) (fun l -> scalar l)
-
-(* Split the parenthesised region (s, pm.(s)) at depth-0 commas and
-   return the head name of each component — the shape of a literal
-   tuple expression. [None] if there is no depth-0 comma. *)
-let tuple_components (a : Lexer.token array) pm s =
-  if s >= Array.length a || a.(s).Lexer.text <> "(" || pm.(s) < 0 then None
-  else begin
-    let close = pm.(s) in
-    let depth = ref 0 in
-    let comps = ref [] in
-    let head = ref None in
-    let ncommas = ref 0 in
-    let i = ref (s + 1) in
-    while !i < close do
-      let t = a.(!i).Lexer.text in
-      (match t with
-      | "(" | "[" | "{" -> incr depth
-      | ")" | "]" | "}" -> decr depth
-      | "," when !depth = 0 ->
-        incr ncommas;
-        comps := !head :: !comps;
-        head := None
-      | _ ->
-        if !head = None && Lexer.is_ident t then begin
-          let name, _, _ = qualified a !i in
-          head := Some name
-        end);
-      incr i
-    done;
-    if !ncommas = 0 then None
-    else begin
-      comps := !head :: !comps;
-      Some (List.rev !comps)
-    end
-  end
-
-type pattern = PVar of string | PTuple of string list
-type rhs = RHead of string option | RTuple of string option list
-
-(* A binding [let <pat> = <rhs>] at token [i], where <pat> is a plain
-   variable or a flat tuple of simple names (optionally parenthesised):
-   returns the pattern, the right-hand-side shape (a head name, or per-
-   component heads for a literal tuple) and the index of the [=]. *)
-let binding_at (a : Lexer.token array) pm i =
-  let n = Array.length a in
-  if a.(i).Lexer.text <> "let" then None
-  else
-    let j = if i + 1 < n && a.(i + 1).Lexer.text = "rec" then i + 2 else i + 1 in
-    (* a comma-separated run of simple names over [j0, close) *)
-    let names_upto j0 close =
-      let rec go acc k expect_name =
-        if k = close then if expect_name then None else Some (List.rev acc)
-        else if expect_name then
-          if Lexer.is_ident a.(k).Lexer.text then go (a.(k).Lexer.text :: acc) (k + 1) false
-          else None
-        else if a.(k).Lexer.text = "," then go acc (k + 1) true
-        else None
-      in
-      go [] j0 true
-    in
-    let pat =
-      if j >= n then None
-      else if a.(j).Lexer.text = "(" && pm.(j) >= 0 && pm.(j) + 1 < n
-              && a.(pm.(j) + 1).Lexer.text = "=" then
-        match names_upto (j + 1) pm.(j) with
-        | Some [ x ] -> Some (PVar x, pm.(j) + 1)
-        | Some (_ :: _ :: _ as xs) -> Some (PTuple xs, pm.(j) + 1)
-        | _ -> None
-      else if Lexer.is_ident a.(j).Lexer.text then
-        if j + 1 < n && a.(j + 1).Lexer.text = "=" then Some (PVar a.(j).Lexer.text, j + 1)
-        else if j + 1 < n && a.(j + 1).Lexer.text = "," then begin
-          (* scan forward for the [=] closing the pattern *)
-          let k = ref (j + 1) in
-          while !k < n && (a.(!k).Lexer.text = "," || Lexer.is_ident a.(!k).Lexer.text) do
-            incr k
-          done;
-          if !k < n && a.(!k).Lexer.text = "=" then
-            match names_upto j !k with
-            | Some (_ :: _ :: _ as xs) -> Some (PTuple xs, !k)
-            | _ -> None
-          else None
-        end
-        else None
-      else None
-    in
-    match pat with
-    | None -> None
-    | Some (pat, eq) ->
-      let rhs =
-        match tuple_components a pm (eq + 1) with
-        | Some comps -> RTuple comps
-        | None ->
-          let k = ref (eq + 1) in
-          while !k < n && a.(!k).Lexer.text = "(" do
-            incr k
-          done;
-          RHead
-            (if !k < n && Lexer.is_ident a.(!k).Lexer.text then
-               let name, _, _ = qualified a !k in
-               Some name
-             else None)
-      in
-      Some (pat, rhs, eq)
-
 let record_binding1 env ~and_line name head line =
   Hashtbl.remove env.remote name;
   Hashtbl.remove and_line name;
@@ -301,14 +116,7 @@ let record_binding env ~and_line pat rhs line =
    application of a producer, or a literal tuple whose components are
    learnt positionally. Iterated with the binding pass so producer
    facts and variable facts can feed each other. *)
-let learn_producers (a : Lexer.token array) pm bounds env =
-  let n = Array.length a in
-  let rec pairs = function
-    | b :: rest ->
-      let e = match rest with b2 :: _ -> b2 | [] -> n in
-      (b, e) :: pairs rest
-    | [] -> []
-  in
+let learn_producers (a : Lexer.token array) pm items env =
   List.iter
     (fun (b, e) ->
       if a.(b).Lexer.text = "let" && e > b + 1 then begin
@@ -364,7 +172,7 @@ let learn_producers (a : Lexer.token array) pm bounds env =
           end
         end
       end)
-    (pairs bounds)
+    items
 
 (* ---- locked / iterating regions ------------------------------------- *)
 
@@ -437,13 +245,14 @@ let in_region regions i = List.exists (fun (s, e) -> s <= i && i <= e) regions
 
 (* ---- the lint proper ------------------------------------------------ *)
 
-let lint_string ?(path = "<string>") src =
-  let { Lexer.tokens = a; pragmas } = Lexer.scan src in
+let lint (fc : Project.file) =
+  let a = fc.Project.fc_toks in
   let n = Array.length a in
   if n = 0 then []
   else begin
-    let pm = paren_matches a in
-    let bounds = boundaries a in
+    let path = fc.Project.fc_path in
+    let pm = fc.Project.fc_pm in
+    let items = fc.Project.fc_items in
     let env = { remote = Hashtbl.create 16; producers = Hashtbl.create 16 } in
     let and_line = Hashtbl.create 8 in
     (* fixpoint: variable facts and producer facts feed each other *)
@@ -454,11 +263,11 @@ let lint_string ?(path = "<string>") src =
           | Some (pat, rhs, _) -> record_binding env ~and_line pat rhs a.(i).Lexer.line
           | None -> ())
         a;
-      learn_producers a pm bounds env
+      learn_producers a pm items env
     done;
     Hashtbl.reset env.remote;
     Hashtbl.reset and_line;
-    let locked = lock_regions a pm bounds in
+    let locked = lock_regions a pm (List.map fst items) in
     let iters = iter_regions a pm in
     let findings = ref [] in
     let emit ~rule ~severity ~line message =
@@ -545,27 +354,8 @@ let lint_string ?(path = "<string>") src =
                 Event.or_ with a timer escape"
                p))
       and_adds;
-    (* pragma exemptions: a pragma on lines L-3..L allows a finding at L *)
-    let allowed_at rule line =
-      List.exists
-        (fun (p : Lexer.pragma) ->
-          p.Lexer.p_line <= line
-          && p.Lexer.p_line >= line - 3
-          && List.mem rule p.Lexer.p_rules)
-        pragmas
-    in
-    !findings
-    |> List.map (fun (f : Finding.t) ->
-           match f.Finding.loc with
-           | Finding.File { line; _ } when allowed_at f.Finding.rule line ->
-             { f with Finding.allowed = true }
-           | _ -> f)
-    |> List.sort Finding.by_location
+    Project.apply_pragmas [ fc ] !findings |> List.sort Finding.by_location
   end
 
-let lint_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  lint_string ~path src
+let lint_string ?(path = "<string>") src = lint (Project.scan (path, src))
+let lint_file path = lint_string ~path (Project.read_file path)

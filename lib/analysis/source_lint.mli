@@ -32,12 +32,16 @@
     while a blocking [Disk.read] on the request path is the TiDB
     anti-pattern (§2). *)
 
+val lint : Project.file -> Finding.t list
+(** Lint one scanned file; findings are pragma-applied and sorted by
+    location. *)
+
 val lint_string : ?path:string -> string -> Finding.t list
 (** Lint source text; [path] names the file in locations. *)
 
 val lint_file : string -> Finding.t list
 
-(** {2 Token-stream toolkit}
+(** {2 Remote-completion vocabulary}
 
     Shared with the interprocedural pass ({!Interproc}); stable only
     within this library. *)
@@ -54,38 +58,6 @@ val local_constructors : string list
 (** Heads constructing a local or compound event — binding one cancels
     any remote-completion fact. *)
 
-val last2 : string -> string
-(** The last two dot-segments of a qualified name. *)
-
-val is_simple : string -> bool
-(** True when the name has no dot. *)
-
-type atom = AName of string | AParen of string option | AOther
-
-val qualified : Lexer.token array -> int -> string * int * int
-(** [qualified a i] reads the dotted name starting at token [i]:
-    (name, line, index past it). *)
-
-val parse_atom : Lexer.token array -> int array -> int -> atom * int
-(** Consume one argument-shaped expression: a dotted name, or a
-    parenthesised expression reduced to its first inner head. *)
-
-val paren_matches : Lexer.token array -> int array
-(** [pm.(i)] is the index of the [')'] matching an ['('] at [i], or -1. *)
-
-val boundaries : Lexer.token array -> int list
-(** Indices of column-0 structure keywords ([let], [module], ...) —
-    top-level item boundaries. *)
-
-val tuple_components : Lexer.token array -> int array -> int -> string option list option
-(** Head names of the components of a literal tuple [(e1, e2, ...)]
-    starting at the given ['('] token; [None] if it is not one. *)
-
-type pattern = PVar of string | PTuple of string list
-type rhs = RHead of string option | RTuple of string option list
-
-val binding_at : Lexer.token array -> int array -> int -> (pattern * rhs * int) option
-(** A binding [let <pat> = <rhs>] at token [i], where the pattern is a
-    plain variable or a flat tuple of simple names: the pattern, the
-    right-hand-side shape and the index of the [=]. Function definitions
-    (parameters before the [=]) return [None]. *)
+val iter_names : string list
+(** Iteration heads ([List.iter], [Array.iteri], ...) whose closure
+    argument runs once per element. *)

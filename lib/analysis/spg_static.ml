@@ -1,13 +1,14 @@
 (* The depfast-spg pass: classify every wait site's static slowness
    exposure — which fail-slow resource kinds can delay it, in which
    role — and its color in the {!Spg.color} sense (quorum-k green vs
-   fate-sharing red). Taint comes from {!Propagation}; wait shapes and
-   timeout escapes mirror {!Bounds.scan_waits} so the two passes agree
-   on what "covered" means. Every wait yields a certificate; every
+   fate-sharing red). Taint comes from {!Propagation}; wait shapes
+   mirror {!Bounds.scan_waits} and timer escapes use
+   {!Bounds.timer_child}, so the two passes agree on what "covered"
+   means. Every wait yields a certificate; every
    (wait x exposure) pair yields a propagation certificate carrying the
    least-(fn, line) witness path. *)
 
-module SL = Source_lint
+module T = Tokens
 
 type color = Red | Green
 
@@ -46,11 +47,10 @@ let exposure_string x =
    escapes wired via [Event.add q ~child:(Sched.timer ...)], plus —
    for the unreached-mitigation rule — which simple variable a quorum's
    [Count] arity came from and which head each local was bound to. *)
-let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
-  ignore pr;
-  let a = fc.Growth.fc_toks in
-  let pm = fc.Growth.fc_pm in
-  let n = f.Growth.g_e in
+let scan_fn taint (fc : Project.file) (f : Project.fn) ~wait ~arity =
+  let a = fc.Project.fc_toks in
+  let pm = fc.Project.fc_pm in
+  let n = f.Project.g_e in
   let quorums = Hashtbl.create 4 in
   let ors = Hashtbl.create 4 in
   let ands = Hashtbl.create 4 in
@@ -59,8 +59,8 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
   let var_head = Hashtbl.create 8 in
   let exposures =
     List.map
-      (fun (k, t) -> { x_fault = k; x_role = role_of k t ~file:fc.Growth.fc_path; x_taint = t })
-      (Propagation.taints taint f.Growth.g_qname)
+      (fun (k, t) -> { x_fault = k; x_role = role_of k t ~file:fc.Project.fc_path; x_taint = t })
+      (Propagation.taints taint f.Project.g_qname)
   in
   (* the Count arity of a quorum binding, when it is a simple variable *)
   let record_arity q eq =
@@ -74,7 +74,7 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
         done;
         (if !k < limit then
            let t = a.(!k).Lexer.text in
-           if Lexer.is_ident t && SL.is_simple t && not (t.[0] >= '0' && t.[0] <= '9') then
+           if Lexer.is_ident t && T.is_simple t && not (t.[0] >= '0' && t.[0] <= '9') then
              Hashtbl.replace arity_var q t);
         j := limit
       end
@@ -84,9 +84,9 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
   let emit_wait ~line ~site ~color ~covered =
     wait
       {
-        w_file = fc.Growth.fc_path;
+        w_file = fc.Project.fc_path;
         w_line = line;
-        w_fn = f.Growth.g_qname;
+        w_fn = f.Project.g_qname;
         w_site = site;
         w_color = color;
         w_covered = covered;
@@ -102,13 +102,13 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
       | None -> ()
       | Some h ->
         let candidates =
-          if SL.is_simple h then [ fc.Growth.fc_mdl ^ "." ^ h ]
+          if T.is_simple h then [ fc.Project.fc_mdl ^ "." ^ h ]
           else
-            [ SL.last2 h ]
+            [ T.last2 h ]
             @
             (match String.rindex_opt h '.' with
             | Some j ->
-              [ fc.Growth.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
+              [ fc.Project.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
             | None -> [])
         in
         let tainted =
@@ -123,13 +123,13 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
         | None -> ()))
   in
   let classify_head h =
-    match SL.last2 h with
+    match T.last2 h with
     | "Event.quorum" | "Event.or_" -> Green
     | _ -> Red
   in
   let wait_on ~line ~covered ev =
     match ev with
-    | SL.AName q when SL.is_simple q ->
+    | T.AName q when T.is_simple q ->
       if Hashtbl.mem quorums q then begin
         emit_wait ~line ~site:("quorum " ^ q) ~color:Green
           ~covered:(covered || Hashtbl.mem timered q);
@@ -138,19 +138,19 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
       else if Hashtbl.mem ors q then emit_wait ~line ~site:("or_ " ^ q) ~color:Green ~covered:true
       else if Hashtbl.mem ands q then emit_wait ~line ~site:("and_ " ^ q) ~color:Red ~covered
       else emit_wait ~line ~site:q ~color:Red ~covered
-    | SL.AName q -> emit_wait ~line ~site:q ~color:Red ~covered
-    | SL.AParen (Some h) -> emit_wait ~line ~site:(SL.last2 h) ~color:(classify_head h) ~covered
-    | SL.AParen None | SL.AOther -> emit_wait ~line ~site:"<expr>" ~color:Red ~covered
+    | T.AName q -> emit_wait ~line ~site:q ~color:Red ~covered
+    | T.AParen (Some h) -> emit_wait ~line ~site:(T.last2 h) ~color:(classify_head h) ~covered
+    | T.AParen None | T.AOther -> emit_wait ~line ~site:"<expr>" ~color:Red ~covered
   in
-  let i = ref f.Growth.g_b in
+  let i = ref f.Project.g_b in
   while !i < n do
-    (match SL.binding_at a pm !i with
+    (match T.binding_at a pm !i with
     (* [let quorum, calls = Rpc.broadcast ...]: the first component is
        an [Event.quorum arity] built by the rpc layer — green *)
-    | Some (SL.PTuple (q :: _), SL.RHead (Some h), _) when SL.last2 h = "Rpc.broadcast" ->
+    | Some (T.PTuple (q :: _), T.RHead (Some h), _) when T.last2 h = "Rpc.broadcast" ->
       Hashtbl.replace quorums q a.(!i).Lexer.line
-    | Some (SL.PVar name, SL.RHead (Some h), eq) ->
-      let l2 = SL.last2 h in
+    | Some (T.PVar name, T.RHead (Some h), eq) ->
+      let l2 = T.last2 h in
       Hashtbl.remove quorums name;
       Hashtbl.remove ors name;
       Hashtbl.remove ands name;
@@ -162,7 +162,7 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
       | "Event.or_" -> Hashtbl.replace ors name ()
       | "Event.and_" -> Hashtbl.replace ands name ()
       | _ -> Hashtbl.replace var_head name h)
-    | Some (SL.PVar name, _, _) ->
+    | Some (T.PVar name, _, _) ->
       Hashtbl.remove quorums name;
       Hashtbl.remove ors name;
       Hashtbl.remove ands name;
@@ -170,39 +170,25 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
       Hashtbl.remove var_head name
     | _ -> ());
     if Lexer.is_ident a.(!i).Lexer.text then begin
-      let name, line, ni = SL.qualified a !i in
-      (match SL.last2 name with
+      let name, line, ni = T.qualified a !i in
+      (match T.last2 name with
       | "Event.add" -> (
-        let parent, i1 = SL.parse_atom a pm ni in
-        match parent with
-        | SL.AName q when SL.is_simple q && Hashtbl.mem quorums q ->
-          if
-            i1 + 3 < n
-            && a.(i1).Lexer.text = "~"
-            && a.(i1 + 1).Lexer.text = "child"
-            && a.(i1 + 2).Lexer.text = ":"
-          then begin
-            let child, _ = SL.parse_atom a pm (i1 + 3) in
-            let timerish h = List.mem (SL.last2 h) [ "Sched.timer"; "Event.timer_kind" ] in
-            match child with
-            | SL.AName h when timerish h -> Hashtbl.replace timered q ()
-            | SL.AParen (Some h) when timerish h -> Hashtbl.replace timered q ()
-            | _ -> ()
-          end
+        match Bounds.timer_child a pm n ni with
+        | Some q when Hashtbl.mem quorums q -> Hashtbl.replace timered q ()
         | _ -> ())
       | "Sched.wait" | "Sched.wait_timeout" ->
-        let covered = SL.last2 name = "Sched.wait_timeout" in
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let ev, _ = SL.parse_atom a pm i1 in
+        let covered = T.last2 name = "Sched.wait_timeout" in
+        let _sched, i1 = T.parse_atom a pm ni in
+        let ev, _ = T.parse_atom a pm i1 in
         wait_on ~line ~covered ev
       | "Condvar.wait" | "Condvar.wait_timeout" ->
         (* a condvar handoff fate-shares with its (single) signaller *)
-        let covered = SL.last2 name = "Condvar.wait_timeout" in
-        let _sched, i1 = SL.parse_atom a pm ni in
-        let cv, _ = SL.parse_atom a pm i1 in
+        let covered = T.last2 name = "Condvar.wait_timeout" in
+        let _sched, i1 = T.parse_atom a pm ni in
+        let cv, _ = T.parse_atom a pm i1 in
         let site =
           match cv with
-          | SL.AName c -> "condvar " ^ c
+          | T.AName c -> "condvar " ^ c
           | _ -> "condvar"
         in
         emit_wait ~line ~site ~color:Red ~covered
@@ -214,14 +200,7 @@ let scan_fn pr taint (fc : Growth.file_ctx) (f : Growth.fn) ~wait ~arity =
 
 (* ---- driver ---------------------------------------------------------- *)
 
-let allowed_at pragmas rule line =
-  List.exists
-    (fun (p : Lexer.pragma) ->
-      p.Lexer.p_line <= line && p.Lexer.p_line >= line - 3 && List.mem rule p.Lexer.p_rules)
-    pragmas
-
-let analyze_project p =
-  let taint = Propagation.analyze p in
+let analyze_project p taint =
   let findings = ref [] in
   let certs = ref [] in
   let waits = ref [] in
@@ -230,12 +209,12 @@ let analyze_project p =
     (fun fc ->
       List.iter
         (fun f ->
-          scan_fn p taint fc f
+          scan_fn taint fc f
             ~wait:(fun w -> waits := w :: !waits)
             ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
               emit
                 (Finding.v ~rule:Finding.unreached_mitigation ~severity:Finding.Warning
-                   ~loc:(Finding.File { file = fc.Growth.fc_path; line })
+                   ~loc:(Finding.File { file = fc.Project.fc_path; line })
                    (Printf.sprintf
                       "quorum %S claims green but its Count arity %S comes from %s, which \
                        is %s-tainted (seed %s at %s:%d): the mitigation's k is itself \
@@ -245,8 +224,8 @@ let analyze_project p =
                       t.Propagation.t_source.Propagation.s_head
                       t.Propagation.t_source.Propagation.s_file
                       t.Propagation.t_source.Propagation.s_line))))
-        fc.Growth.fc_fns)
-    (Growth.files p);
+        (Project.fns fc))
+    (Project.files p);
   (* certificates + red-exposure findings per wait *)
   List.iter
     (fun w ->
@@ -302,18 +281,6 @@ let analyze_project p =
                 (String.concat ", " (List.map exposure_string w.w_exposures))
                 (path_string (List.hd w.w_exposures).x_taint))))
     !waits;
-  (* pragma exemptions, same window as the other passes *)
-  let pragmas_of = Hashtbl.create 16 in
-  List.iter
-    (fun fc -> Hashtbl.replace pragmas_of fc.Growth.fc_path fc.Growth.fc_pragmas)
-    (Growth.files p);
-  let apply (f : Finding.t) =
-    match f.Finding.loc with
-    | Finding.File { file; line } ->
-      let ps = try Hashtbl.find pragmas_of file with Not_found -> [] in
-      if allowed_at ps f.Finding.rule line then { f with Finding.allowed = true } else f
-    | _ -> f
-  in
   let exposures =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -328,17 +295,11 @@ let analyze_project p =
     Hashtbl.fold (fun file l acc -> (file, List.sort_uniq compare l) :: acc) tbl []
     |> List.sort compare
   in
-  ( List.sort_uniq Finding.by_location (List.map apply !findings),
+  ( List.sort_uniq Finding.by_location (Project.apply_pragmas (Project.files p) !findings),
     List.sort_uniq Growth.by_site !certs,
     exposures )
 
-let analyze_sources sources = analyze_project (Growth.load sources)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let analyze_files paths = analyze_sources (List.map (fun p -> (p, read_file p)) paths)
+(* standalone: the pass with its own growth and propagation analyses *)
+let run p = analyze_project p (Propagation.analyze p ~growth:(snd (Growth.analyze p)))
+let analyze_sources sources = run (Project.load sources)
+let analyze_files paths = run (Project.load_files paths)

@@ -20,33 +20,14 @@
     [(* depfast-lint: allow red-exposure ... *)] exempt findings as in
     every other pass. *)
 
-type color = Red | Green
-
-val color_name : color -> string
-(** ["red" | "green"], matching [Spg.color] naming. *)
-
-type exposure = {
-  x_fault : Propagation.fault;
-  x_role : string;  (** ["self" | "peer"] *)
-  x_taint : Propagation.taint;
-}
-
-type wait = {
-  w_file : string;
-  w_line : int;
-  w_fn : string;
-  w_site : string;
-  w_color : color;
-  w_covered : bool;
-  w_exposures : exposure list;
-}
-
 val analyze_project :
-  Growth.project ->
+  Project.t ->
+  Propagation.t ->
   Finding.t list * Growth.cert list * (string * (string * string) list) list
-(** Findings (pragmas applied, sorted), certificates (sorted by site),
-    and the per-file exposure summary: [(path, (fault-name, color)
-    pairs)] — the static blast radius the dynamic cross-check in
+(** The pass over a loaded project, given {!Propagation.analyze}'s
+    taint for it: findings (pragmas applied, sorted), certificates
+    (sorted by site), and the per-file exposure summary: [(path,
+    (fault-name, color) pairs)] — the static blast radius the dynamic cross-check in
     [lib/check] compares observed SPG edges against. *)
 
 val analyze_sources :

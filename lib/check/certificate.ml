@@ -40,7 +40,7 @@ type t = {
          dynamic cross-check compares observed edges against *)
 }
 
-let of_findings ?(exposures = []) ~files findings =
+let of_findings ?(exposures = []) ?(footprints = []) ~files findings =
   let t =
     {
       files = Hashtbl.create 64;
@@ -53,6 +53,7 @@ let of_findings ?(exposures = []) ~files findings =
   in
   List.iter (fun f -> Hashtbl.replace t.files f ()) files;
   List.iter (fun (path, xs) -> Hashtbl.replace t.exposure path xs) exposures;
+  List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) footprints;
   List.iter
     (fun (f : Analysis.Finding.t) ->
       match f.Analysis.Finding.loc with
@@ -67,40 +68,15 @@ let of_findings ?(exposures = []) ~files findings =
     findings;
   t
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let rec walk acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if entry = "_build" || entry = ".git" then acc
-           else walk acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
 let build ~roots () =
-  let files = List.rev (List.fold_left walk [] roots) in
-  let sources = List.map (fun p -> (p, read_file p)) files in
-  let bounds_findings, _certs = Analysis.Bounds.analyze_sources sources in
-  let domains_findings, _dcerts, footprints = Analysis.Domains.analyze_sources sources in
-  let spg_findings, _scerts, exposures = Analysis.Spg_static.analyze_sources sources in
-  let findings =
-    Analysis.Interproc.analyze_sources sources
-    @ List.concat_map
-        (fun (p, src) -> Analysis.Source_lint.lint_string ~path:p src)
-        sources
-    @ bounds_findings @ domains_findings @ spg_findings
-  in
-  let t = of_findings ~exposures ~files findings in
-  List.iter (fun (path, fp) -> Hashtbl.replace t.footprints path fp) footprints;
-  t
+  let files = Analysis.Project.source_files roots in
+  let shared = Analysis.Pass.share (Analysis.Project.load_files files) in
+  let outs = List.map (fun p -> p.Analysis.Pass.run shared) Analysis.Pass.all in
+  let all f = List.concat_map f outs in
+  of_findings ~files
+    ~exposures:(all (fun o -> o.Analysis.Pass.exposures))
+    ~footprints:(all (fun o -> o.Analysis.Pass.footprints))
+    (all (fun o -> o.Analysis.Pass.findings))
 
 (* Paths from different origins (repo-relative, test-sandbox-relative,
    absolute) are matched on their suffix: "lib/check/fixtures.ml" matches

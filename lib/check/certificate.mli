@@ -14,20 +14,23 @@
 type t
 
 val build : roots:string list -> unit -> t
-(** Walk the given directories for [.ml] files (skipping [_build] and
-    [.git]), run the static passes (including {!Analysis.Bounds} and
-    {!Analysis.Domains}), and record per-file verdicts plus the per-file
-    effect footprints feeding {!independent}. *)
+(** Load the [.ml] files under the given paths once
+    ({!Analysis.Project.source_files}: [_build], [.git] and [*.pp.ml]
+    skipped), run every pass of {!Analysis.Pass.all} over that one
+    project, and record per-file verdicts plus the per-file effect
+    footprints feeding {!independent} and the SPG exposures. *)
 
 val of_findings :
   ?exposures:(string * (string * string) list) list ->
+  ?footprints:Analysis.Domains.footprint list ->
   files:string list ->
   Analysis.Finding.t list ->
   t
 (** Assemble a certificate from already-computed findings (for tests).
     [exposures] is the per-file static SPG exposure map in
     {!Analysis.Spg_static.analyze_sources} shape: [(path, (fault-name,
-    color) pairs)]. *)
+    color) pairs)]; [footprints] the {!Analysis.Domains} per-file
+    effect footprints. *)
 
 val covered : t -> string -> bool
 (** Was this file part of the certified set? Paths are compared by suffix,

@@ -123,7 +123,7 @@ let read_file path =
 
 let test_interproc_write_propagates () =
   let path = fixture "dom_unsafe_bad.ml" in
-  let eff = Ef.compute (G.load [ (path, read_file path) ]) in
+  let eff = Ef.compute (Analysis.Project.load [ (path, read_file path) ]) in
   match Ef.fn_summary eff "Dom_unsafe_bad.add" with
   | None -> Alcotest.fail "no summary for Dom_unsafe_bad.add"
   | Some s ->

@@ -229,23 +229,31 @@ let test_lock_across_wait_negative () =
 (* ------------------------------------------------------------------ *)
 (* pragmas *)
 
+(* the window is one function for every pass: check it on the per-file
+   lint and on a whole-project rule (spg's red-exposure) alike *)
+let spg_findings src =
+  let fs, _, _ = Analysis.Spg_static.analyze_sources [ ("<string>", src) ] in
+  fs
+
 let test_pragma_window () =
-  let fs =
-    SL.lint_string
-      {|let f sched =
-  (* depfast-lint: allow red-wait unbounded-wait *)
+  let src =
+    {|let f sched =
+  (* depfast-lint: allow red-wait unbounded-wait red-exposure *)
   let ev = Depfast.Event.rpc_completion ~peer:1 () in
   Depfast.Sched.wait sched ev
 |}
   in
+  let fs = SL.lint_string src in
   check_int "findings still reported" 2 (List.length fs);
-  check_int "but all allowed" 0 (List.length (F.unallowed fs))
+  check_int "but all allowed" 0 (List.length (F.unallowed fs));
+  let spg = spg_findings src in
+  check_rules "whole-project finding still reported" [ "red-exposure" ] (rules spg);
+  check_int "and allowed by the same window" 0 (List.length (F.unallowed spg))
 
 let test_pragma_too_far () =
-  let fs =
-    SL.lint_string
-      {|let f sched =
-  (* depfast-lint: allow red-wait unbounded-wait *)
+  let src =
+    {|let f sched =
+  (* depfast-lint: allow red-wait unbounded-wait red-exposure *)
   let a = 1 in
   let b = a in
   let c = b in
@@ -253,7 +261,10 @@ let test_pragma_too_far () =
   Depfast.Sched.wait sched ev
 |}
   in
-  check_int "pragma out of its 3-line window" 2 (List.length (F.unallowed fs))
+  let fs = SL.lint_string src in
+  check_int "pragma out of its 3-line window" 2 (List.length (F.unallowed fs));
+  check_rules "whole-project rule out of the window too" [ "red-exposure" ]
+    (unallowed_rules (spg_findings src))
 
 (* ------------------------------------------------------------------ *)
 (* fixture files *)
