@@ -41,9 +41,6 @@ type t = {
       (** per client request, at the leader, on the pooled/indexed
           connection path: the request resolves through a direct-indexed
           connection slot — no hash traffic, no per-request closure *)
-  cost_client_reply_pooled : Time.span;
-      (** per client reply on the pooled path: the reply is written straight
-          out of the connection slot's reusable buffer *)
   cost_round_fixed : Time.span;  (** per replication round, leader serial *)
   cost_marshal_entry : Time.span;
       (** per entry per round, leader serial: WAL encode {e plus} the wire
@@ -91,8 +88,8 @@ type t = {
           shared per-batch flush ([cost_reply_flush]) *)
   cost_reply_flush : Time.span;
       (** per commit batch, leader serial: one vectored flush pushing every
-          reply of the batch out — the syscall half of what
-          [cost_client_reply_pooled] paid per reply *)
+          reply of the batch out — the syscall half of what the
+          baselines pay per reply in [cost_client_reply] *)
   cost_vote : Time.span;
   (* storage *)
   wal_entry_overhead : int;  (** bytes per entry beyond payload *)
@@ -121,7 +118,6 @@ let default =
     cost_client_parse = Time.us 250;
     cost_client_reply = Time.us 120;
     cost_client_parse_pooled = Time.us 200;
-    cost_client_reply_pooled = Time.us 100;
     cost_round_fixed = Time.us 240;
     cost_marshal_entry = Time.us 80;
     cost_wal_entry = Time.us 40;

@@ -18,10 +18,10 @@ let create sched ~shards ~replicas ?(cfg = Config.default) () =
   }
 
 let bootstrap t =
-  Array.iteri
-    (fun s g ->
+  Array.iter
+    (fun g ->
       Depfast.Sched.spawn t.sched ~name:"bootstrap" (fun () ->
-          Group.elect g (s * Array.length t.groups |> fun _ -> s * List.length g.Group.nodes)))
+          Group.elect g (Server.id (List.hd g.Group.servers))))
     t.groups;
   Depfast.Sched.run ~until:(Sim.Time.add (Depfast.Sched.now t.sched) (Sim.Time.sec 1)) t.sched
 

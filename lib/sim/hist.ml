@@ -114,17 +114,6 @@ let p95 t = quantile t 0.95
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 
-let merge a b =
-  let t = create () in
-  Array.blit a.buckets 0 t.buckets 0 nbuckets;
-  Array.iteri (fun i v -> t.buckets.(i) <- t.buckets.(i) + v) b.buckets;
-  t.count <- a.count + b.count;
-  t.sums.(0) <- a.sums.(0) +. b.sums.(0);
-  t.sums.(1) <- a.sums.(1) +. b.sums.(1);
-  t.min_v <- min a.min_v b.min_v;
-  t.max_v <- max a.max_v b.max_v;
-  t
-
 let clear t =
   Array.fill t.buckets 0 nbuckets 0;
   t.count <- 0;

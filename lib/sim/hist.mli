@@ -33,9 +33,6 @@ val p95 : t -> Time.span
 val p99 : t -> Time.span
 val p999 : t -> Time.span
 
-val merge : t -> t -> t
-(** Combined histogram; inputs unchanged. *)
-
 val clear : t -> unit
 
 val pp_summary : Format.formatter -> t -> unit

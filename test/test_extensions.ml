@@ -54,6 +54,17 @@ let make_store ?(seed = 3L) () =
   Raft.Sharded.bootstrap store;
   (sched, store)
 
+let test_bootstrap_elects_first_replica () =
+  let _, store = make_store () in
+  List.iteri
+    (fun s g ->
+      let first = Raft.Server.id (List.hd g.Raft.Group.servers) in
+      check_int (Printf.sprintf "shard %d first replica id" s) (s * 3) first;
+      match Raft.Group.leader g with
+      | Some l -> check_int (Printf.sprintf "shard %d leader" s) first (Raft.Server.id l)
+      | None -> Alcotest.fail (Printf.sprintf "shard %d has no leader" s))
+    (Raft.Sharded.groups store)
+
 let in_session sched store ~id body =
   let s = Raft.Sharded.session store ~id in
   let finished = ref false in
@@ -255,6 +266,8 @@ let suite =
       ] );
     ( "sharded.2pc",
       [
+        Alcotest.test_case "bootstrap elects first replica" `Quick
+          test_bootstrap_elects_first_replica;
         Alcotest.test_case "cross-shard commit" `Quick test_txn_cross_shard_commit;
         Alcotest.test_case "single-shard fast path" `Quick test_txn_single_shard_fast_path;
         Alcotest.test_case "conflict atomicity" `Quick test_txn_conflict_aborts_one;

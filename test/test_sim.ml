@@ -195,17 +195,6 @@ let test_hist_quantile_within_one_bucket =
       let approx = Hist.quantile h q in
       abs (bucket_of approx - bucket_of exact) <= 1)
 
-let test_hist_merge () =
-  let a = Hist.create () and b = Hist.create () in
-  List.iter (Hist.add a) [ 1; 2; 3 ];
-  List.iter (Hist.add b) [ 100; 200 ];
-  let m = Hist.merge a b in
-  check_int "merged count" 5 (Hist.count m);
-  check_int "merged min" 1 (Hist.min_value m);
-  check_int "merged max" 200 (Hist.max_value m);
-  (* originals untouched *)
-  check_int "a count" 3 (Hist.count a)
-
 let test_hist_clear () =
   let h = Hist.create () in
   Hist.add h 42;
@@ -362,7 +351,6 @@ let suite =
       [
         Alcotest.test_case "basic stats" `Quick test_hist_basic;
         Alcotest.test_case "small values exact" `Quick test_hist_small_exact;
-        Alcotest.test_case "merge" `Quick test_hist_merge;
         Alcotest.test_case "clear" `Quick test_hist_clear;
         QCheck_alcotest.to_alcotest test_hist_quantile_vs_sorted;
         QCheck_alcotest.to_alcotest test_hist_quantile_within_one_bucket;
