@@ -138,6 +138,21 @@ let bench_batch_drain =
          in
          assert (Raft.Types.entry_bytes e > 0)))
 
+let bench_watchers_fire =
+  Test.make ~name:"raft: fire 1 watcher with 10K pending"
+    (Staged.stage
+       (* a lagging follower's steady state: 10K rounds wait behind the one
+          its latest ack completes, and each run queues one more *)
+       (let w = Raft.Watchers.create () in
+        for i = 1 to 10_000 do
+          Raft.Watchers.add w i (Depfast.Event.signal ())
+        done;
+        let next = ref 1 in
+        fun () ->
+          Raft.Watchers.fire_upto w !next;
+          Raft.Watchers.add w (!next + 10_000) (Depfast.Event.signal ());
+          incr next))
+
 let all_tests =
   [
     ("event_fire", bench_event_fire);
@@ -151,6 +166,7 @@ let all_tests =
     ("net_send_1000", bench_net_send);
     ("rlog_ship_batch", bench_rlog_ship);
     ("batch_drain_64", bench_batch_drain);
+    ("watchers_fire_10k", bench_watchers_fire);
   ]
 
 type result = {

@@ -23,14 +23,13 @@ type buffer = {
   entries : entry Queue.t;
   mutable bytes : int;
   drain_cv : Depfast.Condvar.t;
+  watchers : Raft.Watchers.t;  (* per-round progress watchers, as in DepFastRaft *)
 }
 
 type t = {
   base : Common.base;
   buffers : (int, buffer) Hashtbl.t;
   match_index : (int, index) Hashtbl.t;
-  (* per-round progress watchers, as in DepFastRaft *)
-  watchers : (int, (index * Depfast.Event.t) list ref) Hashtbl.t;
 }
 
 let soft_headroom = 16 * 1024 * 1024
@@ -75,11 +74,7 @@ let advance_commit t =
   Common.set_commit b (List.nth sorted (Raft.Config.majority b.Common.n_voters - 1))
 
 let fire_watchers t f =
-  let ws = Hashtbl.find t.watchers f in
-  let m = Hashtbl.find t.match_index f in
-  let ready, rest = List.partition (fun (idx, _) -> idx <= m) !ws in
-  ws := rest;
-  List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
+  Raft.Watchers.fire_upto (Hashtbl.find t.buffers f).watchers (Hashtbl.find t.match_index f)
 
 (* push new entries into every follower's unbounded buffer; bytes are
    charged to the leader's memory until drained — the defect *)
@@ -197,8 +192,7 @@ let replicator_loop t =
         List.iter
           (fun f ->
             let ack = Depfast.Event.rpc_completion ~label:"repl-progress" ~peer:f () in
-            let ws = Hashtbl.find t.watchers f in
-            ws := (last, ack) :: !ws;
+            Raft.Watchers.add (Hashtbl.find t.buffers f).watchers last ack;
             Depfast.Event.add quorum ~child:ack)
           b.Common.peers;
         List.iter (fun f -> fire_watchers t f) b.Common.peers;
@@ -252,7 +246,6 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
       base = leader_base;
       buffers = Hashtbl.create 8;
       match_index = Hashtbl.create 8;
-      watchers = Hashtbl.create 8;
     }
   in
   List.iter
@@ -262,9 +255,9 @@ let create sched ~n ?(cfg = Raft.Config.default) () =
           entries = Queue.create ();
           bytes = 0;
           drain_cv = Depfast.Condvar.create ~label:"drain" ();
+          watchers = Raft.Watchers.create ();
         };
-      Hashtbl.replace t.match_index f 0;
-      Hashtbl.replace t.watchers f (ref []))
+      Hashtbl.replace t.match_index f 0)
     leader_base.Common.peers;
   List.iter
     (fun b ->

@@ -22,9 +22,9 @@ type follower_state = {
   mutable last_send : Time.t;
   mutable last_ack : Time.t;
   progress_cv : Depfast.Condvar.t;
-  (* replication-round watchers: (target index, progress event with this
-     follower as peer); fired when match_index reaches the target *)
-  mutable watchers : (index * Depfast.Event.t) list;
+  (* replication-round watchers: progress events with this follower as
+     peer, fired when match_index reaches their round's target index *)
+  watchers : Watchers.t;
 }
 
 type t = {
@@ -165,10 +165,7 @@ let advance_commit t =
     settle candidate
   end
 
-let fire_watchers fs =
-  let ready, rest = List.partition (fun (idx, _) -> idx <= fs.match_index) fs.watchers in
-  fs.watchers <- rest;
-  List.iter (fun (_, ev) -> Depfast.Event.fire ev) ready
+let fire_watchers fs = Watchers.fire_upto fs.watchers fs.match_index
 
 (* ---------------- response processing (framework callbacks) ------------- *)
 
@@ -415,7 +412,7 @@ let replicator_loop t epoch =
                   let ack =
                     Depfast.Event.rpc_completion ~label:"repl-progress" ~peer:p ()
                   in
-                  fs.watchers <- (last, ack) :: fs.watchers;
+                  Watchers.add fs.watchers last ack;
                   Depfast.Event.add quorum ~child:ack;
                   fs)
                 t.peers
@@ -537,7 +534,7 @@ let reset_follower_state t =
           last_send = Time.zero;
           last_ack = now t;
           progress_cv = Depfast.Condvar.create ~label:"progress" ();
-          watchers = [];
+          watchers = Watchers.create ();
         })
     t.peers
 

@@ -458,6 +458,66 @@ let safety_run seed =
 let test_safety_randomized () =
   List.iter safety_run [ 11L; 23L; 47L ]
 
+(* the replication watcher queue: [fire_upto] pops exactly the ready
+   prefix, fires it newest-first, and keeps the rest and any watcher added
+   while it fires *)
+let test_watchers_fire_upto () =
+  let w = Raft.Watchers.create () in
+  let fired = ref [] in
+  let watch target =
+    let ev = Depfast.Event.signal () in
+    Depfast.Event.on_fire ev (fun () -> fired := target :: !fired);
+    Raft.Watchers.add w target ev;
+    ev
+  in
+  let evs = List.map (fun i -> (i, watch i)) [ 1; 2; 3; 4; 5; 8 ] in
+  (* firing 4 registers a watcher from inside an observer *)
+  Depfast.Event.on_fire (List.assoc 4 evs) (fun () -> ignore (watch 9));
+  Raft.Watchers.fire_upto w 0;
+  Alcotest.(check (list int)) "nothing ready at 0" [] !fired;
+  Raft.Watchers.fire_upto w 4;
+  Alcotest.(check (list int)) "targets <= 4, newest first" [ 4; 3; 2; 1 ]
+    (List.rev !fired);
+  check_int "8, 5 and the observer's 9 still queued" 3 (Raft.Watchers.length w);
+  fired := [];
+  Raft.Watchers.fire_upto w 8;
+  Alcotest.(check (list int)) "then 5 and 8" [ 8; 5 ] (List.rev !fired);
+  fired := [];
+  Raft.Watchers.fire_upto w 9;
+  Alcotest.(check (list int)) "the observer's watcher fires last" [ 9 ] !fired;
+  check_int "drained" 0 (Raft.Watchers.length w)
+
+(* A follower that lags thousands of entries behind must not make the
+   leader's per-round bookkeeping grow with its backlog: the net-slow
+   cell may allocate at most 1.5x the healthy cell's minor words per
+   committed op. *)
+let minor_words_per_op ~faulted =
+  let sched = make_env ~seed:7L () in
+  let sut = Harness.Runner.build Harness.Runner.Depfast_raft sched ~n:3 ~cfg:Raft.Config.default in
+  if faulted then
+    ignore (Cluster.Fault.inject (List.hd sut.Workload.Sut.follower_nodes) Cluster.Fault.Net_slow);
+  let workload =
+    {
+      (Workload.Ycsb.scaled ~records:10_000 ~value_size:1024 Workload.Ycsb.update_heavy) with
+      Workload.Ycsb.read_proportion = 0.5;
+    }
+  in
+  let clients = sut.Workload.Sut.make_clients ~count:4 in
+  let w0 = Gc.minor_words () in
+  let m =
+    Workload.Driver.run sched ~clients ~workload ~warmup:(Sim.Time.ms 500)
+      ~duration:(Sim.Time.sec 2) ~leader_node:sut.Workload.Sut.leader_node ()
+  in
+  check_bool "cell committed ops" true (m.Workload.Metrics.completed > 1000);
+  (Gc.minor_words () -. w0) /. float_of_int m.Workload.Metrics.completed
+
+let test_lagging_follower_allocation () =
+  let healthy = minor_words_per_op ~faulted:false in
+  let faulted = minor_words_per_op ~faulted:true in
+  if faulted > 1.5 *. healthy then
+    Alcotest.failf "net-slow cell allocates %.0f minor words/op, healthy %.0f (%.2fx > 1.5x)"
+      faulted healthy (faulted /. healthy)
+
 let suite =
   [
     ( "raft.cluster",
@@ -478,6 +538,12 @@ let suite =
           test_batch_replies_across_leader_change;
         Alcotest.test_case "admission shed fails fast" `Quick
           test_admission_shed_fail_fast;
+      ] );
+    ( "raft.watchers",
+      [
+        Alcotest.test_case "fire_upto pops the ready prefix" `Quick test_watchers_fire_upto;
+        Alcotest.test_case "lagging follower allocation" `Quick
+          test_lagging_follower_allocation;
       ] );
     ( "raft.safety",
       [ Alcotest.test_case "randomized partitions" `Slow test_safety_randomized ] );
