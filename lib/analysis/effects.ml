@@ -79,11 +79,10 @@ let field_inventory files =
     files;
   fields
 
-(* Top-level value bindings whose right-hand side allocates mutable
+(* Top-level [Value] items whose right-hand side allocates mutable
    state: [let x = ref 0], [let q = Queue.create ()], [let d = { ... }]
-   with a mutable label, through an optional [: ty] annotation (the
-   first [=] at paren depth 0) and a [lazy] wrapper. Function
-   definitions (parameters before the [=]) are not cells. *)
+   with a mutable label, read at the item's rhs head (through a [: ty]
+   annotation and a [lazy]). *)
 let global_inventory files fields =
   let cells = Hashtbl.create 64 in
   List.iter
@@ -91,79 +90,51 @@ let global_inventory files fields =
       let a = fc.Project.fc_toks in
       List.iter
         (fun (f : Project.fn) ->
-          let b = f.Project.g_b and e = f.Project.g_e in
-          let j =
-            if b + 1 < e && a.(b + 1).Lexer.text = "rec" then b + 2 else b + 1
-          in
-          if j < e && Lexer.is_ident a.(j).Lexer.text && a.(j).Lexer.text <> "_" then begin
-            let rhs =
-              if j + 1 < e && a.(j + 1).Lexer.text = "=" then Some (j + 2)
-              else if j + 1 < e && a.(j + 1).Lexer.text = ":" then begin
-                (* [let x : <ty> = rhs]: first [=] at depth 0 *)
-                let depth = ref 0 and k = ref (j + 2) and found = ref None in
-                while !found = None && !k < e do
+          let r = f.Project.g_rhs and e = f.Project.g_e in
+          let name = T.last_segment f.Project.g_qname in
+          if f.Project.g_shape = Project.Value && name <> "_" && r < e then begin
+            let kind =
+              let t = a.(r).Lexer.text in
+              if t = "ref" then Some Ref
+              else if t = "{" then begin
+                (* record literal: mutable iff a label inside the
+                   braces is a known mutable field *)
+                let depth = ref 0 and k = ref r and close = ref (-1) in
+                while !close < 0 && !k < e do
                   (match a.(!k).Lexer.text with
-                  | "(" | "[" | "{" -> incr depth
-                  | ")" | "]" | "}" -> decr depth
-                  | "=" when !depth = 0 -> found := Some (!k + 1)
+                  | "{" -> incr depth
+                  | "}" ->
+                    decr depth;
+                    if !depth = 0 then close := !k
                   | _ -> ());
                   incr k
                 done;
-                !found
+                let close = if !close >= 0 then !close else e in
+                let m = ref false in
+                for k = r + 1 to close - 1 do
+                  if
+                    (not !m)
+                    && Lexer.is_ident a.(k).Lexer.text
+                    && Hashtbl.mem fields ("." ^ a.(k).Lexer.text)
+                  then m := true
+                done;
+                if !m then Some Record else None
               end
-              else None
+              else
+                Option.bind (Project.rhs_head fc f) (fun h -> List.assoc_opt (T.last2 h) rhs_heads)
             in
-            match rhs with
+            match kind with
+            | Some k ->
+              let cname = f.Project.g_qname in
+              if not (Hashtbl.mem cells cname) then
+                Hashtbl.replace cells cname
+                  {
+                    cl_name = cname;
+                    cl_kind = k;
+                    cl_file = fc.Project.fc_path;
+                    cl_line = f.Project.g_line;
+                  }
             | None -> ()
-            | Some r ->
-              let r = if r < e && a.(r).Lexer.text = "lazy" then r + 1 else r in
-              if r < e then begin
-                let kind =
-                  let t = a.(r).Lexer.text in
-                  if t = "ref" then Some Ref
-                  else if t = "{" then begin
-                    (* record literal: mutable iff a label inside the
-                       braces is a known mutable field *)
-                    let depth = ref 0 and k = ref r and close = ref (-1) in
-                    while !close < 0 && !k < e do
-                      (match a.(!k).Lexer.text with
-                      | "{" -> incr depth
-                      | "}" ->
-                        decr depth;
-                        if !depth = 0 then close := !k
-                      | _ -> ());
-                      incr k
-                    done;
-                    let close = if !close >= 0 then !close else e in
-                    let m = ref false in
-                    for k = r + 1 to close - 1 do
-                      if
-                        (not !m)
-                        && Lexer.is_ident a.(k).Lexer.text
-                        && Hashtbl.mem fields ("." ^ a.(k).Lexer.text)
-                      then m := true
-                    done;
-                    if !m then Some Record else None
-                  end
-                  else if Lexer.is_ident t then begin
-                    let h, _, _ = T.qualified a r in
-                    List.assoc_opt (T.last2 h) rhs_heads
-                  end
-                  else None
-                in
-                match kind with
-                | Some k ->
-                  let cname = fc.Project.fc_mdl ^ "." ^ a.(j).Lexer.text in
-                  if not (Hashtbl.mem cells cname) then
-                    Hashtbl.replace cells cname
-                      {
-                        cl_name = cname;
-                        cl_kind = k;
-                        cl_file = fc.Project.fc_path;
-                        cl_line = f.Project.g_line;
-                      }
-                | None -> ()
-              end
           end)
         (Project.fns fc))
     files;

@@ -21,21 +21,12 @@ type vfact =
   | VQuorum of qcell
   | VNone
 
-type fn = {
-  f_qname : string;  (* "" for anonymous top-level units *)
-  f_params : string list;
-  f_line : int;
-  f_body : int;  (* first token of the body *)
-  f_end : int;  (* exclusive *)
-}
-
+(* A file and the module-level facts harvested from its [Value] items. *)
 type fctx = {
   path : string;
   mdl : string;
   toks : Lexer.token array;
   pm : int array;
-  mutable fns : fn list;  (* named functions, with summaries *)
-  mutable units : fn list;  (* value bindings, walked for findings only *)
   consts : (string, int) Hashtbl.t;  (* module-level int constants *)
   lens : (string, int) Hashtbl.t;  (* module-level list-literal lengths *)
   aliases : (string, string) Hashtbl.t;  (* module-level name -> name aliases *)
@@ -44,12 +35,13 @@ type fctx = {
 }
 
 type state = {
-  cg : Callgraph.t;
+  project : Project.t;
+  sums : (string, Summary.t) Hashtbl.t;  (* function qname -> summary, first wins *)
   modmap : (string, fctx) Hashtbl.t;  (* module name -> defining file, first wins *)
   fields : (string, SL.kind * string) Hashtbl.t;  (* record field -> kind, set-in file *)
   (* lock-order graph: canonical-name edges with their witness site *)
   edge_locs : (string * string, string * int) Hashtbl.t;
-  lock_graph : Callgraph.Digraph.g;
+  lock_graph : Digraph.g;
 }
 
 let is_ident_at (a : Lexer.token array) i = i < Array.length a && Lexer.is_ident a.(i).Lexer.text
@@ -89,107 +81,53 @@ let list_literal_length (a : Lexer.token array) i =
     else Some (if !semis > 0 then !semis + 1 else if !items then 1 else 0)
   end
 
-(* Parse one top-level [let] item spanning tokens [b, e): either a named
-   function (params before the [=]), a named value binding (facts are
-   harvested from its right-hand side), or an anonymous unit. *)
-let parse_item ctx b e =
-  let a = ctx.toks in
-  let j = if b + 1 < e && a.(b + 1).Lexer.text = "rec" then b + 2 else b + 1 in
-  if j >= e then ()
-  else if a.(j).Lexer.text = "(" && ctx.pm.(j) >= 0 && ctx.pm.(j) + 1 < e
-          && a.(ctx.pm.(j) + 1).Lexer.text = "=" then
-    (* [let () = ...], [let (a, b) = ...]: anonymous walk unit *)
-    ctx.units <-
-      { f_qname = ""; f_params = []; f_line = a.(b).Lexer.line;
-        f_body = ctx.pm.(j) + 2; f_end = e }
-      :: ctx.units
-  else if is_ident_at a j && j < e then begin
-    let name = a.(j).Lexer.text in
-    if j + 1 < e && a.(j + 1).Lexer.text = "=" then begin
-      (* value binding: harvest module-level facts, and walk the body *)
-      let r = j + 2 in
-      (if r < e then
-         let t = a.(r).Lexer.text in
-         if t = "[" then (
-           match list_literal_length a r with
-           | Some l -> Hashtbl.replace ctx.lens name l
-           | None -> ())
-         else
-           match int_of_token t with
-           | Some v when not (Lexer.is_ident t) -> Hashtbl.replace ctx.consts name v
-           | _ ->
-             if Lexer.is_ident t then begin
-               let h, _, hn = T.qualified a r in
-               let l2 = T.last2 h in
-               if l2 = "Mutex.create" then Hashtbl.replace ctx.mlocks name ()
-               else
-                 match List.assoc_opt l2 SL.builtin_producers with
-                 | Some k -> Hashtbl.replace ctx.mvals name k
-                 | None ->
-                   (* a lone name is an alias worth chasing for constants *)
-                   if hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line then
-                     Hashtbl.replace ctx.aliases name h
-             end);
-      ctx.units <-
-        { f_qname = ""; f_params = []; f_line = a.(b).Lexer.line; f_body = r; f_end = e }
-        :: ctx.units
-    end
-    else begin
-      (* look for the [=] at paren depth 0, collecting positional params *)
-      let params = ref [] in
-      let eq = ref (-1) in
-      let k = ref (j + 1) in
-      while !eq < 0 && !k < e do
-        let t = a.(!k).Lexer.text in
-        if t = "=" then eq := !k
-        else if t = "(" then begin
-          params := "_" :: !params;
-          k := if ctx.pm.(!k) >= 0 then ctx.pm.(!k) + 1 else e
-        end
-        else if t = "~" || t = "?" then begin
-          (* labeled parameter: not positional; skip [~x] or [~x:pat] *)
-          k := !k + 2;
-          if !k < e && a.(!k).Lexer.text = ":" then begin
-            let _, k' = T.parse_atom a ctx.pm (!k + 1) in
-            k := k'
-          end
-        end
-        else if t = ":" then begin
-          (* return-type annotation: scan directly to the [=] *)
-          while !k < e && a.(!k).Lexer.text <> "=" do
-            incr k
-          done;
-          if !k < e then eq := !k
-        end
-        else if Lexer.is_ident t then begin
-          params := t :: !params;
-          incr k
-        end
-        else incr k
-      done;
-      if !eq >= 0 && !eq + 1 < e then
-        ctx.fns <-
-          { f_qname = ctx.mdl ^ "." ^ name; f_params = List.rev !params;
-            f_line = a.(b).Lexer.line; f_body = !eq + 1; f_end = e }
-          :: ctx.fns
-    end
-  end
-
-let build_fctx (fc : Project.file) =
+(* Module-level facts of the file's [Value] items, read at their rhs
+   heads: int constants, list-literal lengths, mutexes, bare remote
+   completions, and lone-name aliases worth chasing for constants. *)
+let module_facts (fc : Project.file) =
+  let a = fc.Project.fc_toks in
   let ctx =
     {
-      path = fc.Project.fc_path; mdl = fc.Project.fc_mdl; toks = fc.Project.fc_toks;
-      pm = fc.Project.fc_pm; fns = []; units = [];
+      path = fc.Project.fc_path; mdl = fc.Project.fc_mdl; toks = a; pm = fc.Project.fc_pm;
       consts = Hashtbl.create 8; lens = Hashtbl.create 8; aliases = Hashtbl.create 8;
       mlocks = Hashtbl.create 4; mvals = Hashtbl.create 4;
     }
   in
   List.iter
-    (fun (b, e) -> if ctx.toks.(b).Lexer.text = "let" then parse_item ctx b e)
-    fc.Project.fc_items;
-  ctx.fns <- List.rev ctx.fns;
-  ctx.units <- List.rev ctx.units;
+    (fun (f : Project.fn) ->
+      let r = f.Project.g_rhs and e = f.Project.g_e in
+      if f.Project.g_shape = Project.Value && r < e then begin
+        let name = T.last_segment f.Project.g_qname in
+        let t = a.(r).Lexer.text in
+        if t = "[" then (
+          match list_literal_length a r with
+          | Some l -> Hashtbl.replace ctx.lens name l
+          | None -> ())
+        else
+          match int_of_token t with
+          | Some v when not (Lexer.is_ident t) -> Hashtbl.replace ctx.consts name v
+          | _ ->
+            if Lexer.is_ident t then begin
+              let h, _, hn = T.qualified a r in
+              let l2 = T.last2 h in
+              if l2 = "Mutex.create" then Hashtbl.replace ctx.mlocks name ()
+              else
+                match List.assoc_opt l2 SL.builtin_producers with
+                | Some k -> Hashtbl.replace ctx.mvals name k
+                | None ->
+                  (* a lone name is an alias worth chasing for constants *)
+                  if hn >= e || a.(hn).Lexer.line <> a.(r).Lexer.line then
+                    Hashtbl.replace ctx.aliases name h
+            end
+      end)
+    (Project.fns fc);
   ctx
+
+let params (fn : Project.fn) = match fn.Project.g_shape with Project.Fun ps -> ps | _ -> []
+
+(* A call as written in module [mdl], resolved to its callee's summary. *)
+let callee st ctx name =
+  Option.bind (Project.resolve st.project ~mdl:ctx.mdl name) (Hashtbl.find_opt st.sums)
 
 (* ---- cross-module constant / length resolution ----------------------- *)
 
@@ -223,13 +161,13 @@ let lookup_len = lookup (fun c -> c.lens)
 (* (canonical lock name, start token, end token) — [with_lock sched mu
    (...)], [with_lock sched mu @@ fun ... -> <to end of item>], and
    explicit [lock sched mu] ... [unlock mu] pairs. *)
-let lock_regions ctx (fn : fn) =
+let lock_regions ctx (fn : Project.fn) =
   let a = ctx.toks and pm = ctx.pm in
   let regions = ref [] in
   let open_locks = ref [] in
   let atom_name at = match at with T.AName s -> Some s | _ -> None in
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
+  let i = ref fn.Project.g_body in
+  while !i < fn.Project.g_e do
     if is_ident_at a !i then begin
       let name, _, ni = T.qualified a !i in
       (match T.last2 name with
@@ -239,10 +177,10 @@ let lock_regions ctx (fn : fn) =
         let lname =
           match atom_name mu with Some s -> canon_lock ctx s | None -> "?with_lock"
         in
-        if i2 < fn.f_end && a.(i2).Lexer.text = "(" then
-          regions := (lname, i2, if pm.(i2) >= 0 then pm.(i2) else fn.f_end - 1) :: !regions
-        else if i2 < fn.f_end && a.(i2).Lexer.text = "@" then
-          regions := (lname, i2, fn.f_end - 1) :: !regions
+        if i2 < fn.Project.g_e && a.(i2).Lexer.text = "(" then
+          regions := (lname, i2, if pm.(i2) >= 0 then pm.(i2) else fn.Project.g_e - 1) :: !regions
+        else if i2 < fn.Project.g_e && a.(i2).Lexer.text = "@" then
+          regions := (lname, i2, fn.Project.g_e - 1) :: !regions
       | "Mutex.lock" ->
         let _sched, i1 = T.parse_atom a pm ni in
         let mu, _ = T.parse_atom a pm i1 in
@@ -264,7 +202,7 @@ let lock_regions ctx (fn : fn) =
     end
     else incr i
   done;
-  List.iter (fun (l, s) -> regions := (l, s, fn.f_end - 1) :: !regions) !open_locks;
+  List.iter (fun (l, s) -> regions := (l, s, fn.Project.g_e - 1) :: !regions) !open_locks;
   !regions
 
 (* Iteration regions [(start, end, length source)] for inline-closure
@@ -273,12 +211,12 @@ let lock_regions ctx (fn : fn) =
    [for]/[while] bodies get an unknown length. *)
 type len_src = LUnknown | LLit of int | LName of string
 
-let iter_regions ctx (fn : fn) =
+let iter_regions ctx (fn : Project.fn) =
   let a = ctx.toks and pm = ctx.pm in
   let regions = ref [] in
   let loop_stack = ref [] in
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
+  let i = ref fn.Project.g_body in
+  while !i < fn.Project.g_e do
     if is_ident_at a !i then begin
       let name, _, ni = T.qualified a !i in
       (if name = "for" || name = "while" then loop_stack := !i :: !loop_stack
@@ -289,10 +227,10 @@ let iter_regions ctx (fn : fn) =
            loop_stack := rest
          | [] -> ()
        else if List.mem (T.last2 name) SL.iter_names then
-         if ni < fn.f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
+         if ni < fn.Project.g_e && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
            let close = pm.(ni) in
            let len =
-             if close + 1 < fn.f_end && a.(close + 1).Lexer.text = "[" then
+             if close + 1 < fn.Project.g_e && a.(close + 1).Lexer.text = "[" then
                match list_literal_length a (close + 1) with
                | Some l -> LLit l
                | None -> LUnknown
@@ -311,10 +249,10 @@ let iter_regions ctx (fn : fn) =
 
 (* ---- the per-function walk ------------------------------------------ *)
 
-let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit) option) =
+let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit) option) =
   let a = ctx.toks and pm = ctx.pm in
   let env : (string, vfact) Hashtbl.t = Hashtbl.create 16 in
-  List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) fn.f_params;
+  List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) (params fn);
   let quorums = ref [] in
   let lregions = lock_regions ctx fn in
   let iregions = iter_regions ctx fn in
@@ -327,7 +265,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     if T.canonical src && T.canonical dst && src <> dst then begin
       if not (Hashtbl.mem st.edge_locs (src, dst)) then
         Hashtbl.replace st.edge_locs (src, dst) (ctx.path, line);
-      Callgraph.Digraph.add_edge st.lock_graph ~src ~dst
+      Digraph.add_edge st.lock_graph ~src ~dst
         ~witness:(Printf.sprintf "%s:%d" ctx.path line)
     end
   in
@@ -395,7 +333,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
          call graph could prove they carry one *)
       if List.mem l2 SL.local_constructors || l2 = "Disk.write" || l2 = "Disk.fsync" then VNone
       else (
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl h with
+        match callee st ctx h with
         | Some callee -> (
           match callee.Summary.ret with
           | [ Some k ] ->
@@ -444,7 +382,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
   (* parse an [Event.quorum (Event.Count k)] argument following the head *)
   let quorum_cell line ni =
     let count =
-      if ni < fn.f_end && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
+      if ni < fn.Project.g_e && a.(ni).Lexer.text = "(" && pm.(ni) >= 0 then begin
         let close = pm.(ni) in
         let c = ref None in
         let j = ref (ni + 1) in
@@ -511,11 +449,11 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     let j = ref ni in
     let pos = ref 0 in
     let stop = ref false in
-    while (not !stop) && !j < fn.f_end && !pos < 8 do
+    while (not !stop) && !j < fn.Project.g_e && !pos < 8 do
       let t = a.(!j).Lexer.text in
       if t = "~" || t = "?" then begin
         j := !j + 2;
-        if !j < fn.f_end && a.(!j).Lexer.text = ":" then begin
+        if !j < fn.Project.g_e && a.(!j).Lexer.text = ":" then begin
           let at, j' = T.parse_atom a pm (!j + 1) in
           mark_escaped at;
           j := j'
@@ -557,7 +495,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       if T.last2 h = "Event.quorum" then begin
         (* the head token follows the [=]; find it to parse the arity *)
         let k = ref (eq + 1) in
-        while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+        while !k < fn.Project.g_e && a.(!k).Lexer.text = "(" do
           incr k
         done;
         if is_ident_at a !k then begin
@@ -567,20 +505,20 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
       end
       else if
         (* local list literals feed iteration lengths *)
-        eq + 1 < fn.f_end && a.(eq + 1).Lexer.text = "["
+        eq + 1 < fn.Project.g_e && a.(eq + 1).Lexer.text = "["
       then
         match list_literal_length a (eq + 1) with
         | Some l -> bind1 name (VList l)
         | None -> bind1 name VNone
       else bind1 name (head_fact h)
     | T.PVar name, T.RHead None ->
-      if eq + 1 < fn.f_end && a.(eq + 1).Lexer.text = "[" then (
+      if eq + 1 < fn.Project.g_e && a.(eq + 1).Lexer.text = "[" then (
         match list_literal_length a (eq + 1) with
         | Some l -> bind1 name (VList l)
         | None -> bind1 name VNone)
       else (
         match int_of_token a.(eq + 1).Lexer.text with
-        | Some v when eq + 1 < fn.f_end -> bind1 name (VInt v)
+        | Some v when eq + 1 < fn.Project.g_e -> bind1 name (VInt v)
         | _ -> bind1 name VNone)
     | T.PVar name, T.RTuple _ -> bind1 name VNone
     | T.PTuple names, T.RTuple comps ->
@@ -592,7 +530,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         names
     | T.PTuple names, T.RHead (Some h) ->
       let comps =
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl h with
+        match callee st ctx h with
         | Some callee ->
           List.map
             (fun c ->
@@ -617,7 +555,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     let j = ref i in
     let expect_field = ref true in
     let fin = ref false in
-    while (not !fin) && !j < fn.f_end do
+    while (not !fin) && !j < fn.Project.g_e do
       let t = a.(!j).Lexer.text in
       (match t with
       | "{" | "(" | "[" ->
@@ -632,7 +570,7 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         if !expect_field && !j > i + 1 && Lexer.is_ident a.(!j - 1).Lexer.text then begin
           let field = a.(!j - 1).Lexer.text in
           let k = ref (!j + 1) in
-          while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+          while !k < fn.Project.g_e && a.(!k).Lexer.text = "(" do
             incr k
           done;
           if is_ident_at a !k then begin
@@ -648,8 +586,8 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
     done
   in
   (* ---- linear scan in program order ---- *)
-  let i = ref fn.f_body in
-  while !i < fn.f_end do
+  let i = ref fn.Project.g_body in
+  while !i < fn.Project.g_e do
     (match T.binding_at a pm !i with
     | Some (pat, rhs, eq) -> handle_binding pat rhs a.(!i).Lexer.line eq
     | None -> ());
@@ -685,14 +623,14 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
         | _ -> ())
       | "Mutex.lock" | "Mutex.unlock" | "Mutex.with_lock" -> ()
       | _ -> (
-        match Callgraph.resolve st.cg ~current_module:ctx.mdl name with
+        match callee st ctx name with
         | Some callee -> handle_call callee line !i ni
         | None -> ()));
       (* field assignment [x.f <- <head>] *)
-      (if (not (T.is_simple name)) && ni + 1 < fn.f_end && a.(ni).Lexer.text = "<"
+      (if (not (T.is_simple name)) && ni + 1 < fn.Project.g_e && a.(ni).Lexer.text = "<"
           && a.(ni + 1).Lexer.text = "-" then begin
          let k = ref (ni + 2) in
-         while !k < fn.f_end && a.(!k).Lexer.text = "(" do
+         while !k < fn.Project.g_e && a.(!k).Lexer.text = "(" do
            incr k
          done;
          if is_ident_at a !k then begin
@@ -714,13 +652,13 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
      application of a producer *)
   (match own with
   | Some o ->
-    let e = fn.f_end in
+    let e = fn.Project.g_e in
     let last_line = a.(e - 1).Lexer.line in
     let lo = ref (e - 1) in
-    while !lo > fn.f_body && a.(!lo - 1).Lexer.line = last_line do
+    while !lo > fn.Project.g_body && a.(!lo - 1).Lexer.line = last_line do
       decr lo
     done;
-    let start = if !lo <= fn.f_body then fn.f_body else !lo in
+    let start = if !lo <= fn.Project.g_body then fn.Project.g_body else !lo in
     let ret =
       if start >= e then []
       else if start = e - 1 && is_ident_at a start && T.is_simple a.(start).Lexer.text then (
@@ -775,32 +713,40 @@ let walk st ctx (fn : fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit)
 (* ---- the whole-project pass ----------------------------------------- *)
 
 let analyze p =
-  let ctxs = List.map build_fctx (Project.files p) in
   let st =
     {
-      cg = Callgraph.create ();
+      project = p;
+      sums = Hashtbl.create 256;
       modmap = Hashtbl.create 64;
       fields = Hashtbl.create 32;
       edge_locs = Hashtbl.create 16;
-      lock_graph = Callgraph.Digraph.create ();
+      lock_graph = Digraph.create ();
     }
   in
+  (* functions get summaries; value bindings and anonymous units are
+     walked for findings only *)
+  let summaries = ref [] and units = ref [] in
   List.iter
-    (fun ctx -> if not (Hashtbl.mem st.modmap ctx.mdl) then Hashtbl.add st.modmap ctx.mdl ctx)
-    ctxs;
-  let summaries =
-    List.concat_map
-      (fun ctx ->
-        List.map
-          (fun (fn : fn) ->
-            let s =
-              Summary.create ~qname:fn.f_qname ~file:ctx.path ~line:fn.f_line
-                ~params:fn.f_params
-            in
-            Callgraph.define st.cg s;
-            (ctx, fn, s))
-          ctx.fns)
-      ctxs
+    (fun fc ->
+      let ctx = module_facts fc in
+      if not (Hashtbl.mem st.modmap ctx.mdl) then Hashtbl.add st.modmap ctx.mdl ctx;
+      List.iter
+        (fun (fn : Project.fn) ->
+          match fn.Project.g_shape with
+          | Project.Fun ps ->
+            if fn.Project.g_body < fn.Project.g_e then begin
+              let q = fn.Project.g_qname in
+              let s = Summary.create ~qname:q ~file:ctx.path ~line:fn.Project.g_line ~params:ps in
+              if not (Hashtbl.mem st.sums q) then Hashtbl.add st.sums q s;
+              summaries := (ctx, fn, s) :: !summaries
+            end
+          | Project.Value | Project.Anon -> units := (ctx, fn) :: !units)
+        (Project.fns fc))
+    (Project.files p);
+  let summaries = List.rev !summaries and units = List.rev !units in
+  let walk_all st ~emit =
+    List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit) summaries;
+    List.iter (fun (ctx, u) -> walk st ctx u ~own:None ~emit) units
   in
   (* fixpoint: summaries and field facts feed each other across files *)
   let changed = ref true in
@@ -810,10 +756,7 @@ let analyze p =
     let before =
       List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
     in
-    List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit:None) summaries;
-    List.iter
-      (fun ctx -> List.iter (fun u -> walk st ctx u ~own:None ~emit:None) ctx.units)
-      ctxs;
+    walk_all st ~emit:None;
     let after =
       List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
     in
@@ -822,13 +765,10 @@ let analyze p =
   (* reporting round: rebuild the lock graph from scratch so every edge
      reflects fixpoint facts, then emit findings *)
   Hashtbl.reset st.edge_locs;
-  let st = { st with lock_graph = Callgraph.Digraph.create () } in
+  let st = { st with lock_graph = Digraph.create () } in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
-  List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit:(Some emit)) summaries;
-  List.iter
-    (fun ctx -> List.iter (fun u -> walk st ctx u ~own:None ~emit:(Some emit)) ctx.units)
-    ctxs;
+  walk_all st ~emit:(Some emit);
   (* lock-order cycles *)
   List.iter
     (fun (path, edges) ->
@@ -836,16 +776,16 @@ let analyze p =
       | [] -> ()
       | first :: _ ->
         let loc =
-          match Hashtbl.find_opt st.edge_locs (first.Callgraph.Digraph.src, first.Callgraph.Digraph.dst) with
+          match Hashtbl.find_opt st.edge_locs (first.Digraph.src, first.Digraph.dst) with
           | Some (file, line) -> Finding.File { file; line }
           | None -> Finding.File { file = "<unknown>"; line = 0 }
         in
         let sites =
           String.concat "; "
             (List.map
-               (fun (e : Callgraph.Digraph.edge) ->
-                 Printf.sprintf "%s -> %s at %s" e.Callgraph.Digraph.src e.Callgraph.Digraph.dst
-                   e.Callgraph.Digraph.witness)
+               (fun (e : Digraph.edge) ->
+                 Printf.sprintf "%s -> %s at %s" e.Digraph.src e.Digraph.dst
+                   e.Digraph.witness)
                edges)
         in
         emit
@@ -855,7 +795,7 @@ let analyze p =
                  deadlock outright — and under fail-slow faults even the non-deadlocked \
                  interleavings convoy (acquisition sites: %s)"
                 (String.concat " -> " path) sites)))
-    (Callgraph.Digraph.cycles st.lock_graph);
+    (Digraph.cycles st.lock_graph);
   Project.apply_pragmas (Project.files p) !findings
   |> List.sort_uniq (fun a b ->
          let c = Finding.by_location a b in

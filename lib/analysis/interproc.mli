@@ -3,12 +3,15 @@
     The per-file lint ({!Source_lint}) stops at module boundaries: a
     bare remote completion returned from another file, smuggled through
     a record field, or a suspension hidden behind a call are all
-    invisible to it. This pass scans {e every} source together, builds a
-    {!Summary.t} per top-level function (returns/accepts a remote
-    completion event, suspends, acquires mutexes), resolves calls
-    through a {!Callgraph.t} keyed on [Module.fn], and iterates the
-    summaries to a fixpoint so facts flow through returns, tuple
-    components, record fields and arguments. Whole-program rules:
+    invisible to it. This pass reads {e every} source's top-level items
+    from the {!Project} binding model ([let] and [and] alike), builds a
+    {!Summary.t} per function item (returns/accepts a remote completion
+    event, suspends, acquires mutexes), harvests module-level facts
+    (int constants, list lengths, mutexes, bare completions) from the
+    value items' right-hand-side heads, resolves calls with
+    {!Project.resolve}, and iterates the summaries to a fixpoint so
+    facts flow through returns, tuple components, record fields and
+    arguments. Whole-program rules:
 
     - {b cross-module-red-wait}: a bare rpc/disk completion produced in
       one module and [Sched.wait]ed in another (directly, via a record
@@ -33,8 +36,8 @@
     pass. *)
 
 val analyze : Project.t -> Finding.t list
-(** The pass over a loaded project: reads only the scan; pragma-applied,
-    sorted by location. *)
+(** The pass over a loaded project: reads its items and {!Project.resolve},
+    never its call graph; pragma-applied, sorted by location. *)
 
 val analyze_sources : (string * string) list -> Finding.t list
 (** [(path, contents)] pairs — the whole project at once. *)

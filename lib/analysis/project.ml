@@ -2,11 +2,16 @@
    whole-project model the growth, effect and propagation analyses share
    is built on first use, so the per-file passes never pay for it. *)
 
+type shape = Anon | Value | Fun of string list
+
 type fn = {
   g_qname : string;  (* Module.name; "Module.<unit:L>" for anonymous items *)
   g_line : int;
-  g_b : int;  (* first token of the item (the [let]) *)
+  g_b : int;  (* first token of the item (the [let]/[and]) *)
   g_e : int;  (* exclusive *)
+  g_shape : shape;
+  g_body : int;  (* first token after the depth-0 [=]; [g_e] when there is none *)
+  g_rhs : int;  (* [g_body], past a leading [lazy] *)
 }
 
 type file = {
@@ -21,13 +26,16 @@ type file = {
 }
 
 type model = {
-  defs : (string, unit) Hashtbl.t;  (* every defined qname *)
   calls : (string, string list) Hashtbl.t;  (* qname -> resolved callees *)
   roots : (string, string) Hashtbl.t;  (* root qname -> why it is a root *)
   reach : (string, (string, unit) Hashtbl.t) Hashtbl.t;  (* root -> reachable set *)
 }
 
-type t = { files : file list; model : model Lazy.t }
+type t = {
+  files : file list;
+  defs : (string, unit) Hashtbl.t Lazy.t;  (* every defined qname *)
+  model : model Lazy.t;
+}
 
 (* ---- reading and scanning -------------------------------------------- *)
 
@@ -53,31 +61,91 @@ let module_of_path path =
 
 let store_heads = [ "Queue.create"; "Hashtbl.create"; "Buffer.create"; "Rlog.create" ]
 
-let parse_defs mdl (a : Lexer.token array) items =
+(* The first [=] at bracket depth 0 in [k, e), or [e]. *)
+let depth0_eq (a : Lexer.token array) k e =
+  let rec go depth k =
+    if k >= e then e
+    else
+      match a.(k).Lexer.text with
+      | "(" | "[" | "{" -> go (depth + 1) (k + 1)
+      | ")" | "]" | "}" -> go (depth - 1) (k + 1)
+      | "=" when depth = 0 -> k
+      | _ -> go depth (k + 1)
+  in
+  go 0 k
+
+(* Positional parameters of a named item whose name is at [j]: a
+   parenthesised pattern counts as ["_"], labelled parameters ([~x],
+   [?x], [~x:pat], [?(x = default)]) are skipped, and a return
+   annotation runs to the depth-0 [=]. Returns the parameters and the
+   index of that [=]. *)
+let parse_params (a : Lexer.token array) pm j e =
+  let rec go params k =
+    if k >= e then (List.rev params, e)
+    else
+      let t = a.(k).Lexer.text in
+      if t = "=" then (List.rev params, k)
+      else if t = "(" then go ("_" :: params) (if pm.(k) >= 0 then pm.(k) + 1 else e)
+      else if (t = "~" || t = "?") && k + 1 < e && a.(k + 1).Lexer.text = "(" && pm.(k + 1) >= 0
+      then go params (pm.(k + 1) + 1)
+      else if t = "~" || t = "?" then
+        let k = k + 2 in
+        if k < e && a.(k).Lexer.text = ":" then go params (snd (Tokens.parse_atom a pm (k + 1)))
+        else go params k
+      else if t = ":" then (List.rev params, depth0_eq a k e)
+      else if Lexer.is_ident t then go (t :: params) (k + 1)
+      else go params (k + 1)
+  in
+  go [] (j + 1)
+
+(* One top-level [let]/[and] item [b, e): [let () = ...] and other
+   nameless patterns are [Anon]; a name followed by [=] or [: ty =] is a
+   [Value]; anything else names a function. *)
+let parse_item mdl (a : Lexer.token array) pm (b, e) =
+  let j = if a.(b + 1).Lexer.text = "rec" && b + 2 < e then b + 2 else b + 1 in
+  let line = a.(b).Lexer.line in
+  let qname, shape, eq =
+    if Lexer.is_ident a.(j).Lexer.text then
+      let qname = mdl ^ "." ^ a.(j).Lexer.text in
+      match if j + 1 < e then a.(j + 1).Lexer.text else "" with
+      | "=" -> (qname, Value, j + 1)
+      | ":" -> (qname, Value, depth0_eq a (j + 2) e)
+      | _ ->
+        let params, eq = parse_params a pm j e in
+        (qname, Fun params, eq)
+    else
+      let anon = Printf.sprintf "%s.<unit:%d>" mdl line in
+      if a.(j).Lexer.text = "(" && pm.(j) >= 0 && pm.(j) + 1 < e && a.(pm.(j) + 1).Lexer.text = "="
+      then (anon, Anon, pm.(j) + 1)
+      else (anon, Anon, e)
+  in
+  let body = min e (eq + 1) in
+  let rhs = if body < e && a.(body).Lexer.text = "lazy" then body + 1 else body in
+  { g_qname = qname; g_line = line; g_b = b; g_e = e; g_shape = shape; g_body = body; g_rhs = rhs }
+
+let head_at (a : Lexer.token array) f =
+  if f.g_rhs < f.g_e && Lexer.is_ident a.(f.g_rhs).Lexer.text then
+    let h, _, _ = Tokens.qualified a f.g_rhs in
+    Some h
+  else None
+
+let parse_defs mdl a pm items =
+  let fns =
+    List.filter_map
+      (fun (b, e) ->
+        let kw = a.(b).Lexer.text in
+        if (kw = "let" || kw = "and") && e > b + 1 then Some (parse_item mdl a pm (b, e)) else None)
+      items
+  in
   let stores = Hashtbl.create 8 in
-  let fns = ref [] in
   List.iter
-    (fun (b, e) ->
-      let kw = a.(b).Lexer.text in
-      if (kw = "let" || kw = "and") && e > b + 1 then begin
-        let j = if a.(b + 1).Lexer.text = "rec" && b + 2 < e then b + 2 else b + 1 in
-        let line = a.(b).Lexer.line in
-        let qname =
-          if j < e && Lexer.is_ident a.(j).Lexer.text then begin
-            (* module-level store? [let name = Queue.create ...] *)
-            (if j + 2 < e && a.(j + 1).Lexer.text = "=" && Lexer.is_ident a.(j + 2).Lexer.text
-             then
-               let h, _, _ = Tokens.qualified a (j + 2) in
-               if List.mem (Tokens.last2 h) store_heads then
-                 Hashtbl.replace stores a.(j).Lexer.text ());
-            mdl ^ "." ^ a.(j).Lexer.text
-          end
-          else Printf.sprintf "%s.<unit:%d>" mdl line
-        in
-        fns := { g_qname = qname; g_line = line; g_b = b; g_e = e } :: !fns
-      end)
-    items;
-  (List.rev !fns, stores)
+    (fun f ->
+      match (f.g_shape, head_at a f) with
+      | Value, Some h when List.mem (Tokens.last2 h) store_heads ->
+        Hashtbl.replace stores (Tokens.last_segment f.g_qname) ()
+      | _ -> ())
+    fns;
+  (fns, stores)
 
 let scan (path, src) =
   let { Lexer.tokens = a; pragmas } = Lexer.scan src in
@@ -88,18 +156,20 @@ let scan (path, src) =
   in
   let mdl = module_of_path path in
   let items = pairs (Tokens.boundaries a) in
+  let pm = Tokens.paren_matches a in
   {
     fc_path = path;
     fc_mdl = mdl;
     fc_toks = a;
-    fc_pm = Tokens.paren_matches a;
+    fc_pm = pm;
     fc_pragmas = pragmas;
     fc_items = items;
-    fc_defs = lazy (parse_defs mdl a items);
+    fc_defs = lazy (parse_defs mdl a pm items);
   }
 
 let fns fc = fst (Lazy.force fc.fc_defs)
 let stores fc = snd (Lazy.force fc.fc_defs)
+let rhs_head fc f = head_at fc.fc_toks f
 
 (* ---- call edges and remote-triggered roots --------------------------- *)
 
@@ -117,14 +187,20 @@ let trigger_heads =
     ("Event.on_abandon", "abandon callback");
   ]
 
-let resolve defs ~mdl name =
+(* A simple name resolves in its own module, a dotted one on its last
+   two segments. *)
+let resolve_in defs ~mdl name =
   let q = if Tokens.is_simple name then mdl ^ "." ^ name else Tokens.last2 name in
   if Hashtbl.mem defs q then Some q else None
 
-let build_model files =
+let build_defs files =
   let defs = Hashtbl.create 256 in
   List.iter (fun fc -> List.iter (fun f -> Hashtbl.replace defs f.g_qname ()) (fns fc)) files;
-  let m = { defs; calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
+  defs
+
+let build_model files defs =
+  let resolve = resolve_in defs in
+  let m = { calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
   (* call edges: any resolvable name mentioned in a body is an edge —
      closures are treated as invoked, so a pump thunk stored in a record
      still connects its installer to the drain *)
@@ -138,7 +214,7 @@ let build_model files =
           while !i < f.g_e do
             if Lexer.is_ident a.(!i).Lexer.text then begin
               let name, _, ni = Tokens.qualified a !i in
-              (match resolve defs ~mdl:fc.fc_mdl name with
+              (match resolve ~mdl:fc.fc_mdl name with
               | Some q when q <> f.g_qname -> callees := q :: !callees
               | _ -> ());
               i := ni
@@ -177,7 +253,7 @@ let build_model files =
                 while !k < close do
                   if Lexer.is_ident a.(!k).Lexer.text then begin
                     let cname, _, kn = Tokens.qualified a !k in
-                    (match resolve defs ~mdl:fc.fc_mdl cname with
+                    (match resolve ~mdl:fc.fc_mdl cname with
                     | Some q -> if not (Hashtbl.mem m.roots q) then Hashtbl.add m.roots q why
                     | None -> ());
                     k := kn
@@ -212,13 +288,15 @@ let build_model files =
 
 let load sources =
   let files = List.map scan sources in
-  { files; model = lazy (build_model files) }
+  let defs = lazy (build_defs files) in
+  { files; defs; model = lazy (build_model files (Lazy.force defs)) }
 
 let load_files paths = load (List.map (fun p -> (p, read_file p)) paths)
 
 (* ---- queries --------------------------------------------------------- *)
 
 let files p = p.files
+let resolve p ~mdl name = resolve_in (Lazy.force p.defs) ~mdl name
 let callees p q = try Hashtbl.find (Lazy.force p.model).calls q with Not_found -> []
 let reachable p root = Hashtbl.find_opt (Lazy.force p.model).reach root
 

@@ -1,9 +1,14 @@
 (** The analysis front end shared by every pass.
 
     {!load} reads and scans each source once: its tokens, paren matches,
-    pragmas and top-level item spans. On top of that scan it keeps the
-    whole-project model the growth, effect and propagation analyses
-    share, built on first use: a table of top-level items, a call graph
+    pragmas and top-level item spans. Each file's top-level [let]/[and]
+    items are parsed once, on first use, into {!fn} records — the one
+    binding model every pass reads: qualified name, shape (positional
+    parameters or a value), body and right-hand-side head. Names
+    {!resolve} against the table of those items.
+
+    On top of that it keeps the whole-project model the growth, effect
+    and propagation analyses share, built on first use: a call graph
     where {e any} resolvable name mentioned in a body is an edge
     (closures are treated as invoked, so a pump thunk stored in a record
     still connects its installer to the drain), and the set of
@@ -11,16 +16,28 @@
     argument of [Rpc.serve]/[Net.register] handlers, [spawn] thunks, and
     [Event.on_fire] callbacks — with each root's reachable set.
 
-    The per-file passes ({!Source_lint}, {!Interproc}) read only the
-    scan, so they never pay for the model. Like the passes this is
+    {!Source_lint} reads only the scan, and {!Interproc} the items and
+    {!resolve}: neither pays for the call graph. Like the passes this is
     token-level: names resolve on their last two dot-segments, and every
     mention is assumed reachable. *)
+
+type shape =
+  | Anon  (** [let () = ...], [let (a, b) = ...]: no name *)
+  | Value  (** [let x = e] or [let x : ty = e]: a name, then the [=] *)
+  | Fun of string list
+      (** positional parameters (["_"] for a pattern; [~x], [?x] skipped),
+          possibly none: [let f ~x = ...] *)
 
 type fn = {
   g_qname : string;  (** [Module.name]; [Module.<unit:L>] for anonymous items *)
   g_line : int;
   g_b : int;  (** first token of the item *)
   g_e : int;  (** exclusive *)
+  g_shape : shape;
+  g_body : int;
+      (** first token after the item's depth-0 [=] (past a [: ty]
+          annotation); [g_e] when it has none *)
+  g_rhs : int;  (** the right-hand-side head: [g_body], past a leading [lazy] *)
 }
 
 type file = private {
@@ -58,8 +75,17 @@ val fns : file -> fn list
 (** The file's [let]/[and] items, in source order. *)
 
 val stores : file -> (string, unit) Hashtbl.t
-(** Names of the file's module-level containers
-    ([let q = Queue.create ...] and the like). *)
+(** Names of the file's module-level containers: [Value] items whose
+    {!rhs_head} is [Queue.create], [Hashtbl.create], [Buffer.create] or
+    [Rlog.create]. *)
+
+val rhs_head : file -> fn -> string option
+(** The dotted name at [g_rhs], if an identifier starts there. *)
+
+val resolve : t -> mdl:string -> string -> string option
+(** The qualified name of the item a mention in module [mdl] names: a
+    simple name resolves in [mdl], a dotted one ([M.f], [Lib.M.f]) on
+    its last two segments; [None] when no item has that name. *)
 
 val callees : t -> string -> string list
 (** Resolved call edges out of a function, sorted; [[]] if unknown. *)

@@ -48,7 +48,7 @@ let forward t b entries =
       let prev_index = entries.(0).index - 1 in
       ignore
         (Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:next
-           ~bytes:(256 + entries_bytes_a entries)
+           ~bytes:(256 + entries_bytes entries)
            (Append_entries
               {
                 term = 1;
@@ -71,13 +71,13 @@ let handle_append t b ~entries ~commit =
          per-entry CPU work runs inside the append lock *)
       Cluster.Node.cpu_work b.Common.node
         (cfg.Raft.Config.cost_follower_fixed + (n * cfg.Raft.Config.cost_follower_entry));
-      Common.follower_append_a b entries;
+      Common.follower_append b entries;
       if n > 0 then
         (* depfast-lint: allow lock-across-wait red-exposure — deliberate
            baseline defect: the chain holds its append lock across WAL
            durability (Table 1), fate-sharing with its own slow disk *)
         Depfast.Sched.wait b.Common.sched
-          (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+          (Common.wal_append b ~bytes:(Common.wal_bytes b entries));
       Common.set_commit b commit;
       (* depfast-lint: allow lock-across-call — deliberate baseline defect:
          the chain forwards downstream (CPU + rpc) without releasing the
@@ -116,7 +116,7 @@ let head_loop t =
           (Depfast.Condvar.wait_timeout b.Common.sched b.Common.work_cv
              cfg.Raft.Config.group_commit_window);
       let batch = Common.take_batch b cfg.Raft.Config.batch_max in
-      let entries = Array.of_list (Common.append_batch b batch) in
+      let entries = Common.append_batch b batch in
       let n = Array.length entries in
       if n > 0 then begin
         Cluster.Node.cpu_work b.Common.node
@@ -124,7 +124,7 @@ let head_loop t =
         (* depfast-lint: allow red-exposure — own-WAL durability wait:
            synchronous commit is the chain baseline's protocol *)
         Depfast.Sched.wait b.Common.sched
-          (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+          (Common.wal_append b ~bytes:(Common.wal_bytes b entries));
         forward t b entries
       end;
       loop ()

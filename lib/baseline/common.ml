@@ -77,10 +77,7 @@ let wal_append b ~bytes =
   Cluster.Disk.fsync disk
 
 let wal_bytes b entries =
-  entries_bytes entries + (List.length entries * b.cfg.Raft.Config.wal_entry_overhead)
-
-let wal_bytes_a b entries =
-  entries_bytes_a entries + (Array.length entries * b.cfg.Raft.Config.wal_entry_overhead)
+  entries_bytes entries + (Array.length entries * b.cfg.Raft.Config.wal_entry_overhead)
 
 let enqueue b ~cmd ~client ~seq =
   let p =
@@ -102,7 +99,7 @@ let take_batch b max =
 
 (** Append a batch of queued commands to the leader log; returns entries. *)
 let append_batch b batch =
-  List.map
+  Array.map
     (fun q ->
       let e =
         {
@@ -118,19 +115,11 @@ let append_batch b batch =
       Raft.Rlog.append b.rlog e;
       Hashtbl.replace b.by_index e.index q.q_pending;
       e)
-    batch
+    (Array.of_list batch)
 
 (** Follower-side idempotent log append (no term conflicts here: baselines
     run a single fixed leader). *)
 let follower_append b entries =
-  List.iter
-    (fun e ->
-      (* depfast-lint: allow unbounded-growth — known-unbounded log
-         (ROADMAP: log compaction / snapshots) *)
-      if e.index = Raft.Rlog.last_index b.rlog + 1 then Raft.Rlog.append b.rlog e)
-    entries
-
-let follower_append_a b entries =
   Array.iter
     (fun e ->
       (* depfast-lint: allow unbounded-growth — known-unbounded log

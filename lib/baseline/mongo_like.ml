@@ -58,10 +58,10 @@ let handle_pull t b ~from =
     end
     else cfg.Raft.Config.batch_max
   in
-  let entries = Raft.Rlog.slice b.Common.rlog ~from ~max:max_entries in
+  let entries = Raft.Rlog.slice_array b.Common.rlog ~from ~max:max_entries in
   Cluster.Node.cpu_work b.Common.node
     (cfg.Raft.Config.cost_per_follower
-    + (List.length entries * cfg.Raft.Config.cost_send_entry));
+    + (Array.length entries * cfg.Raft.Config.cost_send_entry));
   Oplog_resp
     {
       entries;
@@ -138,7 +138,7 @@ let oplog_writer_loop t =
              cfg.Raft.Config.group_commit_window);
       let batch = Common.take_batch b cfg.Raft.Config.batch_max in
       let entries = Common.append_batch b batch in
-      let n = List.length entries in
+      let n = Array.length entries in
       if n > 0 then begin
         Cluster.Node.cpu_work b.Common.node
           (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));
@@ -176,7 +176,7 @@ let puller_loop t b =
       | Depfast.Sched.Ready -> (
         match Cluster.Rpc.response call with
         | Some (Oplog_resp { entries; commit; _ }) ->
-          let n = List.length entries in
+          let n = Array.length entries in
           if n > 0 then begin
             Cluster.Node.cpu_work b.Common.node
               (cfg.Raft.Config.cost_follower_fixed

@@ -50,13 +50,13 @@ let handle_append_entries b ~prev_index ~entries ~commit =
         Append_resp
           { term = 1; success = false; match_index = Raft.Rlog.last_index b.Common.rlog }
       else begin
-        Common.follower_append_a b entries;
+        Common.follower_append b entries;
         if Array.length entries > 0 then
           (* depfast-lint: allow lock-across-wait red-exposure — deliberate
              baseline defect: the RethinkDB coroutine-lock hazard from §2,
              fate-sharing the lock holder with its own slow WAL *)
           Depfast.Sched.wait b.Common.sched
-            (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+            (Common.wal_append b ~bytes:(Common.wal_bytes b entries));
         Common.set_commit b commit;
         Append_resp
           { term = 1; success = true; match_index = Raft.Rlog.last_index b.Common.rlog }
@@ -83,7 +83,7 @@ let buffer_entries t entries =
   List.iter
     (fun f ->
       let buf = Hashtbl.find t.buffers f in
-      List.iter
+      Array.iter
         (fun e ->
           (* depfast-lint: allow unbounded-growth — deliberate baseline
              defect: the paper's RethinkDB per-follower backlog (§2);
@@ -129,7 +129,7 @@ let drainer_loop t f =
           (cfg.Raft.Config.cost_per_follower
           + (Array.length entries * cfg.Raft.Config.cost_send_entry));
         let prev_index = entries.(0).index - 1 in
-        let bytes = entries_bytes_a entries in
+        let bytes = entries_bytes entries in
         outstanding := !outstanding + bytes;
         let call =
           Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:f
@@ -176,7 +176,7 @@ let replicator_loop t =
              cfg.Raft.Config.group_commit_window);
       let batch = Common.take_batch b cfg.Raft.Config.batch_max in
       let entries = Common.append_batch b batch in
-      let n = List.length entries in
+      let n = Array.length entries in
       if n > 0 then begin
         Cluster.Node.cpu_work b.Common.node
           (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));

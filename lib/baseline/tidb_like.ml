@@ -50,13 +50,13 @@ let handle_append_entries b ~prev_index ~entries ~commit =
         Append_resp
           { term = 1; success = false; match_index = Raft.Rlog.last_index b.Common.rlog }
       else begin
-        Common.follower_append_a b entries;
+        Common.follower_append b entries;
         if Array.length entries > 0 then
           (* depfast-lint: allow lock-across-wait red-exposure — deliberate
              baseline defect: raftstore holds the region lock across WAL
              fsync, fate-sharing every contender with the local disk *)
           Depfast.Sched.wait b.Common.sched
-            (Common.wal_append b ~bytes:(Common.wal_bytes_a b entries));
+            (Common.wal_append b ~bytes:(Common.wal_bytes b entries));
         Common.set_commit b commit;
         Append_resp
           { term = 1; success = true; match_index = Raft.Rlog.last_index b.Common.rlog }
@@ -121,7 +121,7 @@ let prep_and_send t f =
       Hashtbl.replace t.inflight f true;
       let call =
         Cluster.Rpc.call b.Common.rpc ~src:b.Common.node ~dst:f
-          ~bytes:(256 + entries_bytes_a entries)
+          ~bytes:(256 + entries_bytes entries)
           (Append_entries
              {
                term = 1;
@@ -155,7 +155,7 @@ let raftstore_loop t =
              cfg.Raft.Config.group_commit_window);
       let batch = Common.take_batch b cfg.Raft.Config.batch_max in
       let entries = Common.append_batch b batch in
-      let n = List.length entries in
+      let n = Array.length entries in
       if n > 0 then begin
         Cluster.Node.cpu_work b.Common.node
           (cfg.Raft.Config.cost_round_fixed + (n * cfg.Raft.Config.cost_marshal_entry));

@@ -117,7 +117,7 @@ type resp =
       leader_hint : int option;
       value : string option;
     }
-  | Oplog_resp of { entries : entry list; prev_index : index; prev_term : term; commit : index }
+  | Oplog_resp of { entries : entry array; prev_index : index; prev_term : term; commit : index }
   | Ack
 [@@deriving show { with_path = false }]
 
@@ -135,8 +135,7 @@ let rec cmd_bytes = function
 
 let entry_bytes e = cmd_bytes e.cmd
 
-let entries_bytes es = List.fold_left (fun acc e -> acc + entry_bytes e) 0 es
-let entries_bytes_a es = Array.fold_left (fun acc e -> acc + entry_bytes e) 0 es
+let entries_bytes es = Array.fold_left (fun acc e -> acc + entry_bytes e) 0 es
 
 (* wire/WAL size of a view's window, without materializing it *)
 let view_bytes v =

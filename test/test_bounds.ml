@@ -73,6 +73,33 @@ let test_admission_unchecked_flagged () =
        ~verdict:G.Flagged);
   ignore (require_cert certs ~site:".forming" ~kind:"cons" ~verdict:G.Flagged)
 
+(* the same file with the queue's type written out: a [let x : ty = ...]
+   container is the same store, so the findings must not move *)
+let test_admission_annotated_flagged () =
+  let path = fixture "bounds_admission_bad.ml" in
+  let src = Analysis.Project.read_file path in
+  let plain = "let admit_q = Queue.create ()" in
+  let n = String.length plain in
+  let rec find i =
+    if i + n > String.length src then Alcotest.fail "fixture changed: no admit_q binding"
+    else if String.sub src i n = plain then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let annotated =
+    String.sub src 0 i ^ "let admit_q : int Queue.t = Queue.create ()"
+    ^ String.sub src (i + n) (String.length src - i - n)
+  in
+  let fs, certs = B.analyze_sources [ (path, annotated) ] in
+  let reference, _ = analyze "bounds_admission_bad.ml" in
+  Alcotest.(check (list string))
+    "same two unbounded-growth findings" (List.map F.to_json reference) (List.map F.to_json fs);
+  check_int "both growth sites flagged" 2
+    (List.length (List.filter (fun f -> f.F.rule = F.unbounded_growth) fs));
+  ignore
+    (require_cert certs ~site:"Bounds_admission_bad.admit_q" ~kind:"queue"
+       ~verdict:G.Flagged)
+
 let test_admission_checked_certified () =
   let fs, certs = analyze "bounds_admission_ok.ml" in
   check_rules "depth check and per-flush reset are evidence" [] (rules fs);
@@ -301,6 +328,8 @@ let suite =
           test_ring_capacity_certified;
         Alcotest.test_case "unchecked admission flagged" `Quick
           test_admission_unchecked_flagged;
+        Alcotest.test_case "annotated admission flagged" `Quick
+          test_admission_annotated_flagged;
         Alcotest.test_case "checked admission certified" `Quick
           test_admission_checked_certified;
       ] );

@@ -152,7 +152,7 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    check_int "every top-level mutable cell carries a certificate" 161
+    check_int "every top-level mutable cell carries a certificate" 159
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"

@@ -169,7 +169,61 @@ let test_red_wait_via_argument () =
        (fun f ->
          f.F.rule = F.cross_module_red_wait
          && match f.F.loc with F.File { file; _ } -> file = "glue.ml" | F.Node _ -> false)
-       fs)
+       fs);
+  (* an optional argument with a default: its [=] is not the item's *)
+  let waiter = "let settle ?(retries = 3) sched ev =\n  ignore retries;\n  Depfast.Sched.wait sched ev\n" in
+  let fs =
+    IP.analyze_sources
+      [ ("producer.ml", producer); ("waiter.ml", waiter); ("glue.ml", glue) ]
+  in
+  check_rules "positional params past ?(x = default)" [ "cross-module-red-wait" ]
+    (unallowed_rules fs)
+
+(* ------------------------------------------------------------------ *)
+(* [and]-bound functions: the fixture pairs again, with one side's
+   function bound by [let rec ... and f ...]; the findings must not
+   depend on which keyword binds the function *)
+
+(* the fixture's source with [let name] rebound as the second item of a
+   [let rec ... and ...] group *)
+let and_bound name file =
+  let src = Analysis.Project.read_file (fixture file) in
+  let old = "\nlet " ^ name ^ " " in
+  let i =
+    let rec find i =
+      if i + String.length old > String.length src then Alcotest.failf "%s: no %s" file old
+      else if String.sub src i (String.length old) = old then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let rest = String.sub src (i + String.length old) (String.length src - i - String.length old) in
+  ( fixture file,
+    String.sub src 0 i ^ "\nlet rec unused_ () = ()\n\nand " ^ name ^ " " ^ rest )
+
+let plain file = (fixture file, Analysis.Project.read_file (fixture file))
+
+let test_and_bound_xmod () =
+  List.iter
+    (fun (label, sources) ->
+      check_rules label [ "cross-module-red-wait" ] (unallowed_rules (IP.analyze_sources sources)))
+    [
+      ( "and-bound consumer",
+        [ plain "xmod_producer.ml"; and_bound "replicate" "xmod_consumer.ml" ] );
+      ( "and-bound producer",
+        [ and_bound "begin_append" "xmod_producer.ml"; plain "xmod_consumer.ml" ] );
+    ]
+
+let test_and_bound_iplock () =
+  List.iter
+    (fun (label, sources) ->
+      check_rules label [ "lock-across-call" ] (unallowed_rules (IP.analyze_sources sources)))
+    [
+      ( "and-bound callee",
+        [ and_bound "await_majority" "iplock_callee.ml"; plain "iplock_caller.ml" ] );
+      ( "and-bound caller",
+        [ plain "iplock_callee.ml"; and_bound "commit" "iplock_caller.ml" ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* self-lint: the library must hold itself to the whole-project rules *)
@@ -208,6 +262,8 @@ let suite =
         Alcotest.test_case "lock across call" `Quick test_lock_across_call;
         Alcotest.test_case "lock across call (pragma)" `Quick test_lock_across_call_pragma;
         Alcotest.test_case "red wait via argument" `Quick test_red_wait_via_argument;
+        Alcotest.test_case "and-bound cross-module red wait" `Quick test_and_bound_xmod;
+        Alcotest.test_case "and-bound lock across call" `Quick test_and_bound_iplock;
         Alcotest.test_case "self-lint lib/" `Quick test_self_lint;
       ] );
   ]
