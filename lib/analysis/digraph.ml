@@ -1,22 +1,18 @@
-(* A small directed graph with cycle reporting: the mutex
-   acquisition-order graph of the interprocedural pass. *)
+(* Strongly connected components, and a small directed graph with cycle
+   reporting: the mutex acquisition-order graph of the interprocedural
+   pass. The one Tarjan here also orders {!Project.solve}'s call graph. *)
 
-type edge = { src : string; dst : string; witness : string }
+type 'w edge = { src : string; dst : string; witness : 'w }
+type 'w g = (string, 'w edge list ref) Hashtbl.t
 
-type g = {
-  succ : (string, edge list ref) Hashtbl.t;
-  mutable nodes : string list;
-}
-
-let create () = { succ = Hashtbl.create 32; nodes = [] }
+let create () = Hashtbl.create 32
 
 let node g n =
-  if not (List.mem n g.nodes) then g.nodes <- n :: g.nodes;
-  match Hashtbl.find_opt g.succ n with
+  match Hashtbl.find_opt g n with
   | Some r -> r
   | None ->
     let r = ref [] in
-    Hashtbl.add g.succ n r;
+    Hashtbl.add g n r;
     r
 
 let add_edge g ~src ~dst ~witness =
@@ -24,13 +20,16 @@ let add_edge g ~src ~dst ~witness =
   ignore (node g dst);
   if not (List.exists (fun e -> e.dst = dst) !r) then r := { src; dst; witness } :: !r
 
-let successors g n = match Hashtbl.find_opt g.succ n with Some r -> !r | None -> []
+let successors g n = match Hashtbl.find_opt g n with Some r -> !r | None -> []
 
-(* Tarjan's strongly connected components. *)
-let sccs g =
-  let index = Hashtbl.create 32 in
-  let lowlink = Hashtbl.create 32 in
-  let on_stack = Hashtbl.create 32 in
+(* Tarjan's strongly connected components of the graph over [nodes]
+   (visited in list order) with successor function [succ]. A component
+   is listed only after every component it reaches, so the list runs
+   callees-first; members are in discovery order. *)
+let sccs nodes succ =
+  let index = Hashtbl.create 64 in
+  let lowlink = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
   let stack = ref [] in
   let counter = ref 0 in
   let out = ref [] in
@@ -41,15 +40,14 @@ let sccs g =
     stack := v :: !stack;
     Hashtbl.replace on_stack v ();
     List.iter
-      (fun e ->
-        let w = e.dst in
+      (fun w ->
         if not (Hashtbl.mem index w) then begin
           strong w;
           Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
         end
         else if Hashtbl.mem on_stack w then
           Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (successors g v);
+      (succ v);
     if Hashtbl.find lowlink v = Hashtbl.find index v then begin
       let comp = ref [] in
       let fin = ref false in
@@ -65,8 +63,8 @@ let sccs g =
       out := !comp :: !out
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) (List.sort compare g.nodes);
-  !out
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
+  List.rev !out
 
 (* One witness cycle per cyclic SCC: the edge path [n1 -> n2 -> ... -> n1]
    found by BFS inside the component from its smallest node. *)
@@ -84,7 +82,7 @@ let cycles g =
       else begin
         let s = List.fold_left min (List.hd comp) comp in
         (* BFS from s within the component back to s *)
-        let parent : (string, edge) Hashtbl.t = Hashtbl.create 8 in
+        let parent = Hashtbl.create 8 in
         let q = Queue.create () in
         let found = ref None in
         List.iter
@@ -121,4 +119,6 @@ let cycles g =
         | Some path -> Some (s :: List.map (fun e -> e.dst) path, path)
         | None -> None
       end)
-    (sccs g)
+    (sccs
+       (List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) g []))
+       (fun n -> List.map (fun e -> e.dst) (successors g n)))

@@ -116,15 +116,15 @@ let analyze p eff =
         let reads = ref [] and wrs = ref [] in
         List.iter
           (fun (f : Project.fn) ->
-            match Effects.fn_summary eff f.Project.g_qname with
+            match Effects.footprint eff f.Project.g_qname with
             | None -> ()
-            | Some s ->
+            | Some fp ->
               List.iter
                 (fun c -> if keep c && not (List.mem c !reads) then reads := c :: !reads)
-                s.Summary.reads;
+                fp.Effects.f_reads;
               List.iter
                 (fun c -> if keep c && not (List.mem c !wrs) then wrs := c :: !wrs)
-                s.Summary.writes)
+                fp.Effects.f_writes)
           (Project.fns fc);
         (fc.Project.fc_path, (List.sort compare !reads, List.sort compare !wrs)))
       (Project.files p)

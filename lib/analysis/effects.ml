@@ -35,10 +35,12 @@ type access = {
   a_escape : bool;  (* unconsumed mention: the cell aliases out, read-only here *)
 }
 
+type footprint = { f_reads : string list; f_writes : string list }  (* sorted cells *)
+
 type t = {
   e_cells : cell list;  (* sorted by canonical name *)
   e_accesses : access list;  (* sorted by (cell, file, line, fn) *)
-  e_summaries : (string, Summary.t) Hashtbl.t;  (* qname -> closed effects *)
+  e_footprints : (string, footprint) Hashtbl.t;  (* qname -> closed effects *)
 }
 
 (* ---- inventory ------------------------------------------------------- *)
@@ -353,6 +355,14 @@ let scan_fn cells (fc : Project.file) (f : Project.fn) ~add =
 
 (* ---- the effect fixpoint --------------------------------------------- *)
 
+(* Union of two sorted, duplicate-free lists. *)
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    let c = compare x y in
+    if c = 0 then x :: union a' b' else if c < 0 then x :: union a' b else y :: union a b'
+
 let compute p =
   let files = Project.files p in
   let fields = field_inventory files in
@@ -384,48 +394,41 @@ let compute p =
           (b.a_cell, b.a_file, b.a_line, b.a_fn, b.a_write, b.a_locked, b.a_top, b.a_escape))
       !accesses
   in
-  (* direct summaries, then propagate callee effects to a fixpoint *)
-  let summaries = Hashtbl.create 256 in
+  (* direct footprints — accesses are sorted by cell, so consing them in
+     reverse keeps each list sorted — then each closed over its
+     callees' by the bottom-up solver *)
+  let footprints = Hashtbl.create 256 in
   List.iter
     (fun (fc : Project.file) ->
       List.iter
         (fun (f : Project.fn) ->
-          if not (Hashtbl.mem summaries f.Project.g_qname) then
-            Hashtbl.replace summaries f.Project.g_qname
-              (Summary.create ~qname:f.Project.g_qname ~file:fc.Project.fc_path
-                 ~line:f.Project.g_line ~params:[]))
+          Hashtbl.replace footprints f.Project.g_qname { f_reads = []; f_writes = [] })
         (Project.fns fc))
     files;
+  let add c = function x :: _ as l when x = c -> l | l -> c :: l in
   List.iter
     (fun a ->
-      match Hashtbl.find_opt summaries a.a_fn with
-      | None -> ()
-      | Some s ->
-        if a.a_write then Summary.add_write s a.a_cell else Summary.add_read s a.a_cell)
-    accesses;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 64 do
-    changed := false;
-    incr rounds;
-    Hashtbl.iter
-      (fun q s ->
-        List.iter
-          (fun callee ->
-            match Hashtbl.find_opt summaries callee with
-            | None -> ()
-            | Some cs ->
-              let before = Summary.fingerprint s in
-              List.iter (Summary.add_read s) cs.Summary.reads;
-              List.iter (Summary.add_write s) cs.Summary.writes;
-              if Summary.fingerprint s <> before then changed := true)
-          (Project.callees p q))
-      summaries
-  done;
+      let fp = Hashtbl.find footprints a.a_fn in
+      Hashtbl.replace footprints a.a_fn
+        (if a.a_write then { fp with f_writes = add a.a_cell fp.f_writes }
+         else { fp with f_reads = add a.a_cell fp.f_reads }))
+    (List.rev accesses);
+  Project.solve p (fun q ->
+      let fp = Hashtbl.find footprints q in
+      let closed =
+        List.fold_left
+          (fun acc c ->
+            let cf = Hashtbl.find footprints c in
+            { f_reads = union acc.f_reads cf.f_reads; f_writes = union acc.f_writes cf.f_writes })
+          fp (Project.callees p q)
+      in
+      Hashtbl.replace footprints q closed;
+      List.compare_lengths closed.f_reads fp.f_reads <> 0
+      || List.compare_lengths closed.f_writes fp.f_writes <> 0);
   let cell_list =
     Hashtbl.fold (fun _ c acc -> c :: acc) cells []
     |> List.sort (fun a b -> compare a.cl_name b.cl_name)
   in
-  { e_cells = cell_list; e_accesses = accesses; e_summaries = summaries }
+  { e_cells = cell_list; e_accesses = accesses; e_footprints = footprints }
 
-let fn_summary t q = Hashtbl.find_opt t.e_summaries q
+let footprint t q = Hashtbl.find_opt t.e_footprints q

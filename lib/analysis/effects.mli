@@ -17,8 +17,8 @@
     alias escapes (an unconsumed mention of a cell, counted as a read:
     writes through the escaping alias are a documented static blind
     spot, which the dynamic probe cross-check in [lib/check] exists to
-    catch) — and closes the footprints over the {!Project} call graph to
-    a fixpoint, so effects cross modules and SCCs. Writes lexically
+    catch) — and closes each function's footprint over its callees'
+    with {!Project.solve}, so effects cross modules and call cycles. Writes lexically
     inside a [Mutex.with_lock] body or a [Mutex.lock]..[unlock] span
     are marked guarded; the lock fact does {e not} flow through calls
     (a helper that writes under a caller's lock still reads as
@@ -50,13 +50,19 @@ type access = {
   a_escape : bool;  (** unconsumed alias-escaping mention, read-only *)
 }
 
+type footprint = {
+  f_reads : string list;  (** sorted canonical cells read *)
+  f_writes : string list;  (** sorted canonical cells written *)
+}
+
 type t = {
   e_cells : cell list;  (** sorted by canonical name *)
   e_accesses : access list;  (** sorted by (cell, file, line, fn) *)
-  e_summaries : (string, Summary.t) Hashtbl.t;
+  e_footprints : (string, footprint) Hashtbl.t;
       (** qname -> closed (transitive) effect footprint *)
 }
 
 val compute : Project.t -> t
 
-val fn_summary : t -> string -> Summary.t option
+val footprint : t -> string -> footprint option
+(** The closed footprint of a function by qualified name. *)

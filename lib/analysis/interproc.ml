@@ -21,8 +21,20 @@ type vfact =
   | VQuorum of qcell
   | VNone
 
+(* A function's summary: the facts that cross call boundaries,
+   recomputed by one walk of its body from its callees' summaries. *)
+type summary = {
+  qname : string;
+  file : string;
+  ret : SL.kind option list;  (* returns a bare remote completion, per tuple slot; [] unknown *)
+  suspends : bool;  (* (transitively) waits on an event; sleep/yield excluded *)
+  wait_params : int list;  (* sorted positions of the parameters that reach a wait *)
+  acquires : string list;  (* sorted canonical mutexes taken, through callees too *)
+}
+
 (* A file and the module-level facts harvested from its [Value] items. *)
 type fctx = {
+  idx : int;  (* position of the file in the project *)
   path : string;
   mdl : string;
   toks : Lexer.token array;
@@ -36,12 +48,20 @@ type fctx = {
 
 type state = {
   project : Project.t;
-  sums : (string, Summary.t) Hashtbl.t;  (* function qname -> summary, first wins *)
+  sums : (string, summary) Hashtbl.t;  (* function qname -> summary, first wins *)
   modmap : (string, fctx) Hashtbl.t;  (* module name -> defining file, first wins *)
-  fields : (string, SL.kind * string) Hashtbl.t;  (* record field -> kind, set-in file *)
-  (* lock-order graph: canonical-name edges with their witness site *)
-  edge_locs : (string * string, string * int) Hashtbl.t;
-  lock_graph : Digraph.g;
+  fields : (string, (int * int) * SL.kind * string) Hashtbl.t;
+      (* record field -> (file index, token) of its first setter, kind, set-in file *)
+}
+
+(* What one walk of an item found: its summary, its findings, the
+   lock-order edges [(src, dst, line)] and the record-field setters
+   [(field, kind, token)] it saw, both in walk order. *)
+type walked = {
+  w_sum : summary;
+  w_findings : Finding.t list;
+  w_edges : (string * string * int) list;
+  w_setters : (string * SL.kind * int) list;
 }
 
 let is_ident_at (a : Lexer.token array) i = i < Array.length a && Lexer.is_ident a.(i).Lexer.text
@@ -84,10 +104,11 @@ let list_literal_length (a : Lexer.token array) i =
 (* Module-level facts of the file's [Value] items, read at their rhs
    heads: int constants, list-literal lengths, mutexes, bare remote
    completions, and lone-name aliases worth chasing for constants. *)
-let module_facts (fc : Project.file) =
+let module_facts idx (fc : Project.file) =
   let a = fc.Project.fc_toks in
   let ctx =
     {
+      idx;
       path = fc.Project.fc_path; mdl = fc.Project.fc_mdl; toks = a; pm = fc.Project.fc_pm;
       consts = Hashtbl.create 8; lens = Hashtbl.create 8; aliases = Hashtbl.create 8;
       mlocks = Hashtbl.create 4; mvals = Hashtbl.create 4;
@@ -249,25 +270,21 @@ let iter_regions ctx (fn : Project.fn) =
 
 (* ---- the per-function walk ------------------------------------------ *)
 
-let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t -> unit) option) =
+let walk st ctx (fn : Project.fn) =
   let a = ctx.toks and pm = ctx.pm in
   let env : (string, vfact) Hashtbl.t = Hashtbl.create 16 in
   List.iteri (fun i p -> if p <> "_" then Hashtbl.replace env p (VParam i)) (params fn);
   let quorums = ref [] in
   let lregions = lock_regions ctx fn in
   let iregions = iter_regions ctx fn in
-  (match own with
-  | Some o ->
-    List.iter (fun (l, _, _) -> if T.canonical l then Summary.add_acquire o l) lregions
-  | None -> ());
+  let suspends = ref false and wait_params = ref [] and acquires = ref [] in
+  let findings = ref [] and edges = ref [] and setters = ref [] in
+  let add_wait_param i = if not (List.mem i !wait_params) then wait_params := i :: !wait_params in
+  let add_acquire l = if not (List.mem l !acquires) then acquires := l :: !acquires in
+  List.iter (fun (l, _, _) -> if T.canonical l then add_acquire l) lregions;
   let held i = List.filter_map (fun (l, s, e) -> if s <= i && i <= e then Some l else None) lregions in
   let add_lock_edge src dst line =
-    if T.canonical src && T.canonical dst && src <> dst then begin
-      if not (Hashtbl.mem st.edge_locs (src, dst)) then
-        Hashtbl.replace st.edge_locs (src, dst) (ctx.path, line);
-      Digraph.add_edge st.lock_graph ~src ~dst
-        ~witness:(Printf.sprintf "%s:%d" ctx.path line)
-    end
+    if T.canonical src && T.canonical dst && src <> dst then edges := (src, dst, line) :: !edges
   in
   (* intra-function nesting: acquiring B inside A's region orders A -> B *)
   List.iter
@@ -276,10 +293,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
         (fun (la, sa, ea) -> if sa < sb && sb <= ea then add_lock_edge la lb a.(sb).Lexer.line)
         lregions)
     lregions;
-  let set_suspends () = match own with Some o -> o.Summary.suspends <- true | None -> () in
-  let set_field f k =
-    if not (Hashtbl.mem st.fields f) then Hashtbl.replace st.fields f (k, ctx.path)
-  in
+  let set_field f k at = setters := (f, k, at) :: !setters in
   (* value fact of a name in value position (variable, module value,
      record-field access) *)
   let fact_of_name name =
@@ -301,7 +315,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
       if first = "" || not (first.[0] >= 'A' && first.[0] <= 'Z') then (
         (* record-field path x.f / x.M.f *)
         match Hashtbl.find_opt st.fields (T.last_segment name) with
-        | Some (k, src) -> VRemote (k, PField src)
+        | Some (_, k, src) -> VRemote (k, PField src)
         | None -> VNone)
       else
         let l2 = T.last2 name in
@@ -335,9 +349,9 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
       else (
         match callee st ctx h with
         | Some callee -> (
-          match callee.Summary.ret with
+          match callee.ret with
           | [ Some k ] ->
-            VRemote (k, if callee.Summary.file = ctx.path then PLocal else PCross callee.Summary.file)
+            VRemote (k, if callee.file = ctx.path then PLocal else PCross callee.file)
           | _ -> VNone)
         | None -> fact_of_name h)
   in
@@ -346,7 +360,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
     | T.AParen (Some h) -> head_fact h
     | T.AParen None | T.AOther -> VNone
   in
-  let emit_finding f = match emit with Some e -> e f | None -> () in
+  let emit_finding f = findings := f :: !findings in
   let emit_xmod line k p =
     let severity = match k with SL.Rpc -> Finding.Error | SL.Disk -> Finding.Warning in
     let where =
@@ -423,17 +437,14 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
   in
   (* a resolvable call: propagate suspension/lock facts, check held
      locks, thread arguments into the callee's waited parameters *)
-  let handle_call (callee : Summary.t) line i ni =
+  let handle_call (callee : summary) line i ni =
     let held_here = held i in
-    (match own with
-    | Some o ->
-      if callee.Summary.suspends then o.Summary.suspends <- true;
-      List.iter (fun l -> Summary.add_acquire o l) callee.Summary.acquires
-    | None -> ());
+    if callee.suspends then suspends := true;
+    List.iter add_acquire callee.acquires;
     List.iter
       (fun h ->
-        List.iter (fun acq -> add_lock_edge h acq line) callee.Summary.acquires;
-        if callee.Summary.suspends then
+        List.iter (fun acq -> add_lock_edge h acq line) callee.acquires;
+        if callee.suspends then
           emit_finding
             (Finding.v ~rule:Finding.lock_across_call ~severity:Finding.Error
                ~loc:(Finding.File { file = ctx.path; line })
@@ -441,7 +452,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
                   "call to %s while holding %s: the callee (transitively) suspends on an \
                    event, so one slow firer blocks every contender on the lock (the \
                    RethinkDB hazard, paper §2, across a call boundary)"
-                  callee.Summary.qname
+                  callee.qname
                   (String.concat ", "
                      (List.map (fun l -> if T.canonical l then l else "a mutex") held_here)))))
       held_here;
@@ -465,9 +476,9 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
         | T.AOther -> stop := true
         | _ ->
           mark_escaped at;
-          if List.mem !pos callee.Summary.wait_params then begin
+          if List.mem !pos callee.wait_params then begin
             match atom_fact at with
-            | VRemote (k, _) when callee.Summary.file <> ctx.path ->
+            | VRemote (k, _) when callee.file <> ctx.path ->
               let severity = match k with SL.Rpc -> Finding.Error | SL.Disk -> Finding.Warning in
               emit_finding
                 (Finding.v ~rule:Finding.cross_module_red_wait ~severity
@@ -475,9 +486,8 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
                    (Printf.sprintf
                       "bare %s completion passed to %s, which waits on its argument: a \
                        cross-module red wait split between caller and callee"
-                      (SL.kind_name k) callee.Summary.qname))
-            | VParam idx -> (
-              match own with Some o -> Summary.add_wait_param o idx | None -> ())
+                      (SL.kind_name k) callee.qname))
+            | VParam idx -> add_wait_param idx
             | _ -> ()
           end;
           incr pos;
@@ -537,9 +547,9 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
               match c with
               | Some k ->
                 VRemote
-                  (k, if callee.Summary.file = ctx.path then PLocal else PCross callee.Summary.file)
+                  (k, if callee.file = ctx.path then PLocal else PCross callee.file)
               | None -> VNone)
-            callee.Summary.ret
+            callee.ret
         | None -> []
       in
       List.iteri
@@ -576,7 +586,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
           if is_ident_at a !k then begin
             let h, _, _ = T.qualified a !k in
             match head_fact h with
-            | VRemote (kk, _) -> set_field field kk
+            | VRemote (kk, _) -> set_field field kk !j
             | _ -> ()
           end
         end;
@@ -595,21 +605,21 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
       let name, line, ni = T.qualified a !i in
       (match T.last2 name with
       | "Sched.wait" | "Sched.wait_timeout" ->
-        set_suspends ();
+        suspends := true;
         let _sched, i1 = T.parse_atom a pm ni in
         let ev, _ = T.parse_atom a pm i1 in
         (match ev with
         | T.AName s -> (
           match fact_of_name s with
           | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
-          | VParam idx -> ( match own with Some o -> Summary.add_wait_param o idx | None -> ())
+          | VParam idx -> add_wait_param idx
           | _ -> ())
         | T.AParen (Some h) -> (
           match head_fact h with
           | VRemote (k, ((PCross _ | PField _) as p)) -> emit_xmod line k p
           | _ -> ())
         | _ -> ())
-      | "Condvar.wait" | "Condvar.wait_timeout" -> set_suspends ()
+      | "Condvar.wait" | "Condvar.wait_timeout" -> suspends := true
       | "Event.add" -> (
         let parent, _ = T.parse_atom a pm ni in
         match parent with
@@ -636,7 +646,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
          if is_ident_at a !k then begin
            let h, _, _ = T.qualified a !k in
            match head_fact h with
-           | VRemote (kk, _) -> set_field (T.last_segment name) kk
+           | VRemote (kk, _) -> set_field (T.last_segment name) kk !i
            | _ -> ()
          end
        end);
@@ -650,16 +660,17 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
   (* return shape: the last line of the body (or everything after the
      [=] for one-liners) — lone known variable, literal tuple, or an
      application of a producer *)
-  (match own with
-  | Some o ->
-    let e = fn.Project.g_e in
-    let last_line = a.(e - 1).Lexer.line in
-    let lo = ref (e - 1) in
-    while !lo > fn.Project.g_body && a.(!lo - 1).Lexer.line = last_line do
-      decr lo
-    done;
-    let start = if !lo <= fn.Project.g_body then fn.Project.g_body else !lo in
-    let ret =
+  let ret =
+    match fn.Project.g_shape with
+    | Project.Value | Project.Anon -> []
+    | Project.Fun _ ->
+      let e = fn.Project.g_e in
+      let last_line = a.(e - 1).Lexer.line in
+      let lo = ref (e - 1) in
+      while !lo > fn.Project.g_body && a.(!lo - 1).Lexer.line = last_line do
+        decr lo
+      done;
+      let start = if !lo <= fn.Project.g_body then fn.Project.g_body else !lo in
       if start >= e then []
       else if start = e - 1 && is_ident_at a start && T.is_simple a.(start).Lexer.text then (
         match Hashtbl.find_opt env a.(start).Lexer.text with
@@ -692,9 +703,7 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
           match head_fact h with VRemote (kk, _) -> [ Some kk ] | _ -> [])
         else []
       end
-    in
-    if ret <> [] then o.Summary.ret <- ret
-  | None -> ());
+  in
   (* quorum arity verdicts *)
   List.iter
     (fun qc ->
@@ -708,7 +717,21 @@ let walk st ctx (fn : Project.fn) ~(own : Summary.t option) ~(emit : (Finding.t 
                  it: it can never fire (constants resolved across modules)"
                 k qc.q_adds))
       | _ -> ())
-    !quorums
+    !quorums;
+  {
+    w_sum =
+      {
+        qname = fn.Project.g_qname;
+        file = ctx.path;
+        ret;
+        suspends = !suspends;
+        wait_params = List.sort compare !wait_params;
+        acquires = List.sort compare !acquires;
+      };
+    w_findings = !findings;
+    w_edges = List.rev !edges;
+    w_setters = List.rev !setters;
+  }
 
 (* ---- the whole-project pass ----------------------------------------- *)
 
@@ -719,73 +742,98 @@ let analyze p =
       sums = Hashtbl.create 256;
       modmap = Hashtbl.create 64;
       fields = Hashtbl.create 32;
-      edge_locs = Hashtbl.create 16;
-      lock_graph = Digraph.create ();
     }
   in
-  (* functions get summaries; value bindings and anonymous units are
-     walked for findings only *)
-  let summaries = ref [] and units = ref [] in
-  List.iter
-    (fun fc ->
-      let ctx = module_facts fc in
+  (* the items walked, functions (which get summaries) first, then value
+     bindings and anonymous units (walked for findings only), each group
+     in file order; and the indices of each qname's items *)
+  let fns = ref [] and units = ref [] in
+  List.iteri
+    (fun idx fc ->
+      let ctx = module_facts idx fc in
       if not (Hashtbl.mem st.modmap ctx.mdl) then Hashtbl.add st.modmap ctx.mdl ctx;
       List.iter
         (fun (fn : Project.fn) ->
           match fn.Project.g_shape with
-          | Project.Fun ps ->
+          | Project.Fun _ ->
             if fn.Project.g_body < fn.Project.g_e then begin
               let q = fn.Project.g_qname in
-              let s = Summary.create ~qname:q ~file:ctx.path ~line:fn.Project.g_line ~params:ps in
-              if not (Hashtbl.mem st.sums q) then Hashtbl.add st.sums q s;
-              summaries := (ctx, fn, s) :: !summaries
+              if not (Hashtbl.mem st.sums q) then
+                Hashtbl.add st.sums q
+                  { qname = q; file = ctx.path; ret = []; suspends = false; wait_params = [];
+                    acquires = [] };
+              fns := (ctx, fn) :: !fns
             end
           | Project.Value | Project.Anon -> units := (ctx, fn) :: !units)
         (Project.fns fc))
     (Project.files p);
-  let summaries = List.rev !summaries and units = List.rev !units in
-  let walk_all st ~emit =
-    List.iter (fun (ctx, fn, s) -> walk st ctx fn ~own:(Some s) ~emit) summaries;
-    List.iter (fun (ctx, u) -> walk st ctx u ~own:None ~emit) units
+  let items = Array.of_list (List.rev_append !fns (List.rev !units)) in
+  let by_qname = Hashtbl.create 256 in
+  Array.iteri (fun i (_, fn) -> Hashtbl.add by_qname fn.Project.g_qname i) items;
+  (* a qname's transfer walks all its items and keeps each walk; callers
+     look up only the summary of its first function, so only that one
+     can change *)
+  let walks = Array.make (Array.length items) None in
+  let transfer q =
+    let idxs = List.rev (Hashtbl.find_all by_qname q) in
+    List.fold_left
+      (fun changed i ->
+        let ctx, fn = items.(i) in
+        let w = walk st ctx fn in
+        walks.(i) <- Some w;
+        match Hashtbl.find_opt st.sums q with
+        | Some s when i = List.hd idxs && s <> w.w_sum ->
+          Hashtbl.replace st.sums q w.w_sum;
+          true
+        | _ -> changed)
+      false idxs
   in
-  (* fixpoint: summaries and field facts feed each other across files *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    incr rounds;
-    let before =
-      List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
-    in
-    walk_all st ~emit:None;
-    let after =
-      List.map (fun (_, _, s) -> Summary.fingerprint s) summaries, Hashtbl.length st.fields
-    in
-    changed := before <> after
-  done;
-  (* reporting round: rebuild the lock graph from scratch so every edge
-     reflects fixpoint facts, then emit findings *)
-  Hashtbl.reset st.edge_locs;
-  let st = { st with lock_graph = Digraph.create () } in
+  let walked f =
+    Array.iteri (fun i w -> match w with Some w -> f (fst items.(i)) w | None -> ()) walks
+  in
+  (* record fields carry facts between functions the call graph does not
+     link: solve, then let each field keep its first setter in file
+     order (over every walk so far), and solve again while that table
+     changes. Each change adds a field or moves one to an earlier
+     setter, so this ends. *)
+  let rec solve_fields () =
+    Project.solve p transfer;
+    let grown = ref false in
+    walked (fun ctx w ->
+        List.iter
+          (fun (f, k, at) ->
+            match Hashtbl.find_opt st.fields f with
+            | Some (first, _, _) when first <= (ctx.idx, at) -> ()
+            | _ ->
+              Hashtbl.replace st.fields f ((ctx.idx, at), k, ctx.path);
+              grown := true)
+          w.w_setters);
+    if !grown then solve_fields ()
+  in
+  solve_fields ();
+  (* findings and the lock-order graph from the final walks, replayed
+     in item order so each edge keeps its first witness *)
+  let lock_graph = Digraph.create () in
   let findings = ref [] in
+  walked (fun ctx w ->
+      List.iter
+        (fun (src, dst, line) ->
+          Digraph.add_edge lock_graph ~src ~dst ~witness:(ctx.path, line))
+        w.w_edges;
+      findings := List.rev_append w.w_findings !findings);
   let emit f = findings := f :: !findings in
-  walk_all st ~emit:(Some emit);
   (* lock-order cycles *)
   List.iter
     (fun (path, edges) ->
       match edges with
       | [] -> ()
-      | first :: _ ->
-        let loc =
-          match Hashtbl.find_opt st.edge_locs (first.Digraph.src, first.Digraph.dst) with
-          | Some (file, line) -> Finding.File { file; line }
-          | None -> Finding.File { file = "<unknown>"; line = 0 }
-        in
+      | { Digraph.witness = file, line; _ } :: _ ->
+        let loc = Finding.File { file; line } in
         let sites =
           String.concat "; "
             (List.map
-               (fun (e : Digraph.edge) ->
-                 Printf.sprintf "%s -> %s at %s" e.Digraph.src e.Digraph.dst
-                   e.Digraph.witness)
+               (fun { Digraph.src; dst; witness = file, line } ->
+                 Printf.sprintf "%s -> %s at %s:%d" src dst file line)
                edges)
         in
         emit
@@ -795,7 +843,7 @@ let analyze p =
                  deadlock outright — and under fail-slow faults even the non-deadlocked \
                  interleavings convoy (acquisition sites: %s)"
                 (String.concat " -> " path) sites)))
-    (Digraph.cycles st.lock_graph);
+    (Digraph.cycles lock_graph);
   Project.apply_pragmas (Project.files p) !findings
   |> List.sort_uniq (fun a b ->
          let c = Finding.by_location a b in

@@ -5,13 +5,16 @@
     a record field, or a suspension hidden behind a call are all
     invisible to it. This pass reads {e every} source's top-level items
     from the {!Project} binding model ([let] and [and] alike), builds a
-    {!Summary.t} per function item (returns/accepts a remote completion
-    event, suspends, acquires mutexes), harvests module-level facts
+    summary per function item (returns a remote completion, waits on a
+    parameter, suspends, acquires mutexes), harvests module-level facts
     (int constants, list lengths, mutexes, bare completions) from the
-    value items' right-hand-side heads, resolves calls with
-    {!Project.resolve}, and iterates the summaries to a fixpoint so
-    facts flow through returns, tuple components, record fields and
-    arguments. Whole-program rules:
+    value items' right-hand-side heads, and resolves calls with
+    {!Project.resolve}. One walk of a body recomputes its summary from
+    its callees'; {!Project.solve} runs the walks bottom-up to the
+    fixpoint, so facts flow through returns, tuple components and
+    arguments. Record-field facts link functions the call graph does
+    not: each field keeps its first setter in file order, and the pass
+    solves again while that table changes. Whole-program rules:
 
     - {b cross-module-red-wait}: a bare rpc/disk completion produced in
       one module and [Sched.wait]ed in another (directly, via a record
@@ -36,8 +39,10 @@
     pass. *)
 
 val analyze : Project.t -> Finding.t list
-(** The pass over a loaded project: reads its items and {!Project.resolve},
-    never its call graph; pragma-applied, sorted by location. *)
+(** The pass over a loaded project: reads its items, {!Project.resolve}
+    and {!Project.solve}; pragma-applied, sorted by location.
+    @raise Failure from {!Project.solve} if a call cycle's summaries
+    never settle. *)
 
 val analyze_sources : (string * string) list -> Finding.t list
 (** [(path, contents)] pairs — the whole project at once. *)

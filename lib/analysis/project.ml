@@ -25,8 +25,7 @@ type file = {
       (* let-items, and the module-level containers among them *)
 }
 
-type model = {
-  calls : (string, string list) Hashtbl.t;  (* qname -> resolved callees *)
+type roots = {
   roots : (string, string) Hashtbl.t;  (* root qname -> why it is a root *)
   reach : (string, (string, unit) Hashtbl.t) Hashtbl.t;  (* root -> reachable set *)
 }
@@ -34,7 +33,8 @@ type model = {
 type t = {
   files : file list;
   defs : (string, unit) Hashtbl.t Lazy.t;  (* every defined qname *)
-  model : model Lazy.t;
+  calls : (string, string list) Hashtbl.t Lazy.t;  (* qname -> resolved callees *)
+  model : roots Lazy.t;
 }
 
 (* ---- reading and scanning -------------------------------------------- *)
@@ -198,32 +198,38 @@ let build_defs files =
   List.iter (fun fc -> List.iter (fun f -> Hashtbl.replace defs f.g_qname ()) (fns fc)) files;
   defs
 
-let build_model files defs =
-  let resolve = resolve_in defs in
-  let m = { calls = Hashtbl.create 256; roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
-  (* call edges: any resolvable name mentioned in a body is an edge —
-     closures are treated as invoked, so a pump thunk stored in a record
-     still connects its installer to the drain *)
+(* Call edges: any resolvable name mentioned in a body is an edge —
+   closures are treated as invoked, so a pump thunk stored in a record
+   still connects its installer to the drain. A body naming its own item
+   (recursion) is a self-edge, the item's own binding name is not; items
+   sharing a qname share one edge set. *)
+let build_calls files defs =
+  let calls = Hashtbl.create 256 in
   List.iter
     (fun fc ->
       let a = fc.fc_toks in
       List.iter
         (fun f ->
-          let callees = ref [] in
+          let callees = ref (try Hashtbl.find calls f.g_qname with Not_found -> []) in
           let i = ref f.g_b in
           while !i < f.g_e do
             if Lexer.is_ident a.(!i).Lexer.text then begin
               let name, _, ni = Tokens.qualified a !i in
-              (match resolve ~mdl:fc.fc_mdl name with
-              | Some q when q <> f.g_qname -> callees := q :: !callees
+              (match resolve_in defs ~mdl:fc.fc_mdl name with
+              | Some q when q <> f.g_qname || !i >= f.g_body -> callees := q :: !callees
               | _ -> ());
               i := ni
             end
             else incr i
           done;
-          Hashtbl.replace m.calls f.g_qname (List.sort_uniq compare !callees))
+          Hashtbl.replace calls f.g_qname (List.sort_uniq compare !callees))
         (fns fc))
     files;
+  calls
+
+let build_roots files defs calls =
+  let resolve = resolve_in defs in
+  let m = { roots = Hashtbl.create 32; reach = Hashtbl.create 32 } in
   (* roots: resolvable names inside the first [(fun ...)] closure
      following a trigger head ([~handler:(fun ...)], spawn thunks,
      completion callbacks) *)
@@ -276,7 +282,7 @@ let build_model files defs =
       let rec go q =
         if not (Hashtbl.mem seen q) then begin
           Hashtbl.add seen q ();
-          match Hashtbl.find_opt m.calls q with
+          match Hashtbl.find_opt calls q with
           | Some cs -> List.iter go cs
           | None -> ()
         end
@@ -289,7 +295,8 @@ let build_model files defs =
 let load sources =
   let files = List.map scan sources in
   let defs = lazy (build_defs files) in
-  { files; defs; model = lazy (build_model files (Lazy.force defs)) }
+  let calls = lazy (build_calls files (Lazy.force defs)) in
+  { files; defs; calls; model = lazy (build_roots files (Lazy.force defs) (Lazy.force calls)) }
 
 let load_files paths = load (List.map (fun p -> (p, read_file p)) paths)
 
@@ -297,7 +304,7 @@ let load_files paths = load (List.map (fun p -> (p, read_file p)) paths)
 
 let files p = p.files
 let resolve p ~mdl name = resolve_in (Lazy.force p.defs) ~mdl name
-let callees p q = try Hashtbl.find (Lazy.force p.model).calls q with Not_found -> []
+let callees p q = try Hashtbl.find (Lazy.force p.calls) q with Not_found -> []
 let reachable p root = Hashtbl.find_opt (Lazy.force p.model).reach root
 
 let remote_reachable p qname =
@@ -309,6 +316,32 @@ let roots_reaching p qname =
     (fun root set acc -> if Hashtbl.mem set qname then (root, Hashtbl.find m.roots root) :: acc else acc)
     m.reach []
   |> List.sort compare
+
+(* ---- the interprocedural solver ------------------------------------- *)
+
+(* Callees-first over the call graph's components; a cyclic one is swept
+   until unchanged, and the sweep bound (see the interface) turns a
+   transfer that never settles into an error instead of a cut. *)
+let solve p transfer =
+  let calls = Lazy.force p.calls in
+  let succ q = try Hashtbl.find calls q with Not_found -> [] in
+  let nodes = List.sort compare (Hashtbl.fold (fun q _ acc -> q :: acc) calls []) in
+  List.iter
+    (function
+      | [ q ] when not (List.mem q (succ q)) -> ignore (transfer q)
+      | comp ->
+        let comp = List.sort compare comp in
+        let limit = 8 * (List.length comp + 1) in
+        let rec sweep round =
+          if round > limit then
+            failwith
+              (Printf.sprintf "Project.solve: component {%s} still changing after %d sweeps"
+                 (String.concat ", " comp) limit)
+          else if List.fold_left (fun changed q -> transfer q || changed) false comp then
+            sweep (round + 1)
+        in
+        sweep 1)
+    (Digraph.sccs nodes succ)
 
 (* ---- pragmas --------------------------------------------------------- *)
 

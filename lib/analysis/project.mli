@@ -7,19 +7,21 @@
     parameters or a value), body and right-hand-side head. Names
     {!resolve} against the table of those items.
 
-    On top of that it keeps the whole-project model the growth, effect
-    and propagation analyses share, built on first use: a call graph
-    where {e any} resolvable name mentioned in a body is an edge
-    (closures are treated as invoked, so a pump thunk stored in a record
-    still connects its installer to the drain), and the set of
-    {e remote-triggered roots} — functions named inside the closure
-    argument of [Rpc.serve]/[Net.register] handlers, [spawn] thunks, and
-    [Event.on_fire] callbacks — with each root's reachable set.
+    On top of that it keeps the whole-project model, in two parts built
+    on first use. The {e call graph} has an edge for {e any} resolvable
+    name mentioned in an item (closures are treated as invoked, so a
+    pump thunk stored in a record still connects its installer to the
+    drain); {!solve} runs every interprocedural fact to its fixpoint
+    over it. The {e remote-triggered roots} — functions named inside
+    the closure argument of [Rpc.serve]/[Net.register] handlers,
+    [spawn] thunks, and [Event.on_fire] callbacks — and each root's
+    reachable set are built from the call graph only when the growth
+    analysis asks.
 
-    {!Source_lint} reads only the scan, and {!Interproc} the items and
-    {!resolve}: neither pays for the call graph. Like the passes this is
-    token-level: names resolve on their last two dot-segments, and every
-    mention is assumed reachable. *)
+    {!Source_lint} reads only the scan; {!Interproc} reads the items,
+    {!resolve} and {!solve}, so it forces the call graph but never the
+    roots. Like the passes this is token-level: names resolve on their
+    last two dot-segments, and every mention is assumed reachable. *)
 
 type shape =
   | Anon  (** [let () = ...], [let (a, b) = ...]: no name *)
@@ -88,7 +90,18 @@ val resolve : t -> mdl:string -> string -> string option
     its last two segments; [None] when no item has that name. *)
 
 val callees : t -> string -> string list
-(** Resolved call edges out of a function, sorted; [[]] if unknown. *)
+(** Resolved call edges out of an item, sorted; a recursive body keeps
+    its self-edge, and items sharing a qualified name share one edge
+    set. [[]] if unknown. *)
+
+val solve : t -> (string -> bool) -> unit
+(** [solve p transfer] visits the call graph's strongly connected
+    components callees first; [transfer q] recomputes [q]'s facts from
+    its callees' and says whether they changed. An acyclic component
+    gets one call; a cyclic one (a self-edge included) is swept, members
+    in name order, until a sweep changes nothing.
+    @raise Failure naming the members of a component still changing
+    after [8 * (size + 1)] sweeps: nothing is cut silently. *)
 
 val reachable : t -> string -> (string, unit) Hashtbl.t option
 (** The functions reachable from a remote-triggered root. *)

@@ -2,8 +2,8 @@
    downstream of a fail-slow resource site. Seeds are syntactic heads —
    disk submissions, net/rpc sends and deliveries, declared cost-model
    work, and flagged growth sites from the boundedness pass — and taint
-   flows callee -> caller over the {!Project} call graph: a synchronous
-   caller inherits the slowness of everything it invokes. Each tainted
+   flows callee -> caller, solved bottom-up by {!Project.solve}: a
+   synchronous caller inherits the slowness of everything it invokes. Each tainted
    function keeps a deterministic least-(file, line) seed witness and
    one call-chain path back to it, so certificates can print the same
    evidence regardless of discovery order. *)
@@ -154,40 +154,30 @@ let analyze (p : Project.t) ~growth =
               | None -> ())
           files)
     growth;
-  (* callee -> caller fixpoint with least-witness merging; keys only
-     ever decrease, so this terminates even across call cycles *)
-  let fns =
-    List.concat_map
-      (fun fc -> List.map (fun (f : Project.fn) -> f.Project.g_qname) (Project.fns fc))
-      files
-    |> List.sort_uniq compare
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun caller ->
-        List.iter
-          (fun callee ->
-            if callee <> caller then
-              List.iter
-                (fun k ->
-                  match Hashtbl.find_opt tbl (fault_rank k, callee) with
-                  | None -> ()
-                  | Some tc ->
-                    if not (List.mem caller tc.t_path) then begin
-                      let cand = { tc with t_path = caller :: tc.t_path } in
-                      let key = (fault_rank k, caller) in
-                      match Hashtbl.find_opt tbl key with
-                      | Some old when not (better cand old) -> ()
-                      | _ ->
-                        Hashtbl.replace tbl key cand;
-                        changed := true
-                    end)
-                all)
-          (Project.callees p caller))
-      fns
-  done;
+  (* callee -> caller, bottom-up: a caller keeps the least witness
+     among its own seeds and its callees' taints extended by one call.
+     Extending a path keeps the order of witnesses, so the result does
+     not depend on visit order; a path never revisits a function, which
+     also settles call cycles. *)
+  Project.solve p (fun caller ->
+      List.fold_left
+        (fun changed callee ->
+          if callee = caller then changed
+          else
+            List.fold_left
+              (fun changed k ->
+                match Hashtbl.find_opt tbl (fault_rank k, callee) with
+                | Some tc when not (List.mem caller tc.t_path) -> (
+                  let cand = { tc with t_path = caller :: tc.t_path } in
+                  let key = (fault_rank k, caller) in
+                  match Hashtbl.find_opt tbl key with
+                  | Some old when not (better cand old) -> changed
+                  | _ ->
+                    Hashtbl.replace tbl key cand;
+                    true)
+                | _ -> changed)
+              changed all)
+        false (Project.callees p caller));
   tbl
 
 let taints t qname =

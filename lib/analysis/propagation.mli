@@ -6,15 +6,17 @@
     sends and deliveries ([Rpc.call]/[broadcast]/[event]/[serve],
     [Net.send]/[register], [Event.rpc_completion]), declared cost-model
     work ([Node.cpu_work]), and growth sites the boundedness pass
-    flagged unbounded — then propagates callee → caller over
-    the {!Project} whole-project call graph: a synchronous caller inherits
-    the slowness of everything it invokes.
+    flagged unbounded — then propagates callee → caller over the
+    {!Project} call graph with {!Project.solve}, callees first: a
+    synchronous caller inherits the slowness of everything it invokes.
 
     Fault kinds mirror the injectable [Cluster.Fault.kind]s (this
     library cannot depend on [cluster], so the mapping by name lives in
     [lib/check]). Witnesses are deterministic: each tainted function
     records the least-(file, line, head) seed that reaches it and one
-    shortest call chain back to it, independent of discovery order. *)
+    shortest call chain back to it. Extending a chain by a caller keeps
+    the order between witnesses, so the result is independent of the
+    order in which the solver visits functions. *)
 
 type fault = Cpu_slow | Disk_slow | Net_slow | Memory
 

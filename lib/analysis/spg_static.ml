@@ -47,7 +47,7 @@ let exposure_string x =
    escapes wired via [Event.add q ~child:(Sched.timer ...)], plus —
    for the unreached-mitigation rule — which simple variable a quorum's
    [Count] arity came from and which head each local was bound to. *)
-let scan_fn taint (fc : Project.file) (f : Project.fn) ~wait ~arity =
+let scan_fn p taint (fc : Project.file) (f : Project.fn) ~wait ~arity =
   let a = fc.Project.fc_toks in
   let pm = fc.Project.fc_pm in
   let n = f.Project.g_e in
@@ -100,26 +100,12 @@ let scan_fn taint (fc : Project.file) (f : Project.fn) ~wait ~arity =
     | Some v -> (
       match Hashtbl.find_opt var_head v with
       | None -> ()
-      | Some h ->
-        let candidates =
-          if T.is_simple h then [ fc.Project.fc_mdl ^ "." ^ h ]
-          else
-            [ T.last2 h ]
-            @
-            (match String.rindex_opt h '.' with
-            | Some j ->
-              [ fc.Project.fc_mdl ^ "." ^ String.sub h (j + 1) (String.length h - j - 1) ]
-            | None -> [])
-        in
-        let tainted =
-          List.find_map
-            (fun q ->
-              match Propagation.taints taint q with [] -> None | (k, t) :: _ -> Some (q, k, t))
-            candidates
-        in
-        (match tainted with
-        | Some (callee, k, t) ->
-          arity ~line ~q ~v ~callee ~fault:k ~taint:t
+      | Some h -> (
+        match Project.resolve p ~mdl:fc.Project.fc_mdl h with
+        | Some callee -> (
+          match Propagation.taints taint callee with
+          | (k, t) :: _ -> arity ~line ~q ~v ~callee ~fault:k ~taint:t
+          | [] -> ())
         | None -> ()))
   in
   let classify_head h =
@@ -209,7 +195,7 @@ let analyze_project p taint =
     (fun fc ->
       List.iter
         (fun f ->
-          scan_fn taint fc f
+          scan_fn p taint fc f
             ~wait:(fun w -> waits := w :: !waits)
             ~arity:(fun ~line ~q ~v ~callee ~fault ~taint:t ->
               emit

@@ -124,11 +124,29 @@ let read_file path =
 let test_interproc_write_propagates () =
   let path = fixture "dom_unsafe_bad.ml" in
   let eff = Ef.compute (Analysis.Project.load [ (path, read_file path) ]) in
-  match Ef.fn_summary eff "Dom_unsafe_bad.add" with
-  | None -> Alcotest.fail "no summary for Dom_unsafe_bad.add"
-  | Some s ->
+  match Ef.footprint eff "Dom_unsafe_bad.add" with
+  | None -> Alcotest.fail "no footprint for Dom_unsafe_bad.add"
+  | Some fp ->
     check_bool "callee write visible in the caller's closed footprint" true
-      (List.mem "Dom_unsafe_bad.total" s.Analysis.Summary.writes)
+      (List.mem "Dom_unsafe_bad.total" fp.Ef.f_writes)
+
+(* a 200-module call chain ending in a write: the write reaches the
+   chain's head however long the chain *)
+let test_long_chain_write_propagates () =
+  let n = 200 in
+  let m i = Printf.sprintf "B_%03d" i in
+  let srcs =
+    List.init n (fun i ->
+        ( Printf.sprintf "b_%03d.ml" i,
+          if i = n - 1 then "let cell = ref 0\nlet f () = cell := 1\n"
+          else Printf.sprintf "let f () = %s.f ()\n" (m (i + 1)) ))
+  in
+  let eff = Ef.compute (Analysis.Project.load srcs) in
+  match Ef.footprint eff "B_000.f" with
+  | None -> Alcotest.fail "no footprint for B_000.f"
+  | Some fp ->
+    check_bool "the last module's write is in the head's footprint" true
+      (List.mem "B_199.cell" fp.Ef.f_writes)
 
 (* ------------------------------------------------------------------ *)
 (* the real tree: inventory counts pinned, every unsafe-shared verdict
@@ -152,7 +170,7 @@ let test_tree_inventory_pinned () =
   match tree () with
   | None -> ()
   | Some (fs, certs, footprints) ->
-    check_int "every top-level mutable cell carries a certificate" 159
+    check_int "every top-level mutable cell carries a certificate" 153
       (List.length certs);
     let flagged = List.filter (fun c -> c.D.c_verdict = G.Flagged) certs in
     Alcotest.(check (list string)) "exactly the three seeded fixture cells unsafe"
@@ -301,6 +319,8 @@ let suite =
           test_unsafe_pragma_allowed;
         Alcotest.test_case "write propagates through callees" `Quick
           test_interproc_write_propagates;
+        Alcotest.test_case "write propagates down a 200-module chain" `Quick
+          test_long_chain_write_propagates;
       ] );
     ( "domains.tree",
       [

@@ -226,6 +226,89 @@ let test_and_bound_iplock () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* the bottom-up solver: no fact is cut short, and a component that
+   never settles is reported *)
+
+(* [a_00.ml] .. [a_11.ml]: each [A_i.f] calls [A_{i+1}.f], the last one
+   waits on a quorum, and a holder calls [A_00.f] under a mutex *)
+let test_lock_across_long_chain () =
+  let n = 12 in
+  let link i =
+    let src =
+      if i = n - 1 then
+        {|let f sched ~peers =
+  let q = Depfast.Event.quorum Depfast.Event.Majority in
+  List.iter
+    (fun peer -> Depfast.Event.add q ~child:(Depfast.Event.rpc_completion ~peer ()))
+    peers;
+  Depfast.Sched.wait sched q
+|}
+      else Printf.sprintf "let f sched ~peers = A_%02d.f sched ~peers\n" (i + 1)
+    in
+    (Printf.sprintf "a_%02d.ml" i, src)
+  in
+  let holder =
+    {|let mu = Depfast.Mutex.create ()
+let commit sched ~peers = Depfast.Mutex.with_lock sched mu (fun () -> A_00.f sched ~peers)
+|}
+  in
+  let fs = IP.analyze_sources (("holder.ml", holder) :: List.init n link) in
+  check_int "suspension found 12 calls down" 1
+    (List.length (List.filter (fun f -> f.F.rule = F.lock_across_call) fs))
+
+(* a self-recursive function swaps its arguments: only iterating its
+   self-edge learns that both reach the wait *)
+let test_self_recursive_wait_params () =
+  let rec_wait =
+    {|let rec f sched a b =
+  if Random.bool () then f sched b a
+  else Depfast.Sched.wait sched a
+|}
+  in
+  let glue =
+    {|let go sched ~peer =
+  let ack = Depfast.Event.rpc_completion ~peer () in
+  Rec_wait.f sched peer ack
+|}
+  in
+  let fs = IP.analyze_sources [ ("rec_wait.ml", rec_wait); ("glue.ml", glue) ] in
+  check_int "completion passed as the swapped argument" 1
+    (List.length (List.filter (fun f -> f.F.rule = F.cross_module_red_wait) fs))
+
+let solve_order src transfer =
+  let order = ref [] in
+  Analysis.Project.solve
+    (Analysis.Project.load [ ("m.ml", src) ])
+    (fun q ->
+      order := q :: !order;
+      transfer q);
+  List.rev !order
+
+let test_solver_order () =
+  Alcotest.(check (list string)) "acyclic: callees first, once each" [ "M.c"; "M.b"; "M.a" ]
+    (solve_order "let a () = b ()\nlet b () = c ()\nlet c () = ()\n" (fun _ -> false));
+  let first = ref true in
+  Alcotest.(check (list string)) "a self-edge is a cycle: swept until unchanged"
+    [ "M.r"; "M.r" ]
+    (solve_order "let rec r n = r n\n" (fun _ ->
+         let changed = !first in
+         first := false;
+         changed))
+
+let test_solver_reports_divergence () =
+  match solve_order "let f x = g x\nlet g x = f x\nlet h x = f x\n" (fun _ -> true) with
+  | _ -> Alcotest.fail "a component that never settles must raise"
+  | exception Failure msg ->
+    let mentions s =
+      let n = String.length s in
+      let rec go i = i + n <= String.length msg && (String.sub msg i n = s || go (i + 1)) in
+      go 0
+    in
+    check_bool "names M.f" true (mentions "M.f");
+    check_bool "names M.g" true (mentions "M.g");
+    check_bool "only the component" false (mentions "M.h")
+
+(* ------------------------------------------------------------------ *)
 (* self-lint: the library must hold itself to the whole-project rules *)
 
 let rec ml_files_under dir =
@@ -264,6 +347,11 @@ let suite =
         Alcotest.test_case "red wait via argument" `Quick test_red_wait_via_argument;
         Alcotest.test_case "and-bound cross-module red wait" `Quick test_and_bound_xmod;
         Alcotest.test_case "and-bound lock across call" `Quick test_and_bound_iplock;
+        Alcotest.test_case "lock across a 12-file call chain" `Quick test_lock_across_long_chain;
+        Alcotest.test_case "self-recursive waited parameters" `Quick
+          test_self_recursive_wait_params;
+        Alcotest.test_case "solver order" `Quick test_solver_order;
+        Alcotest.test_case "solver reports divergence" `Quick test_solver_reports_divergence;
         Alcotest.test_case "self-lint lib/" `Quick test_self_lint;
       ] );
   ]
